@@ -4,23 +4,23 @@ Eigendecomposition, matrix functions of Hermitian/positive definite
 arguments, compound matrices and seeded random SPD generation.  Everything
 else in the package is built on top of these routines.
 
-All functions are pure; returned arrays are freshly allocated.  Matrix
+Every routine takes a matrix or a stack ``(..., n, n)`` and works matrix
+by matrix; a single matrix is a batch of one, and stacked results are
+bitwise equal to matrix-by-matrix calls.  All functions are pure.  Matrix
 function results are re-Hermitized as (X + X*)/2 so that downstream
-invariant checks are not tripped by accumulation drift.
+invariant checks are not tripped by accumulation drift.  Exported
+functions validate their input; the helpers on validated stacks or
+eigensystems keep only the positive-definite floor.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BadOrder,
-    EigFailure,
-    NonHermitianInput,
-    NonPositiveSpectrum,
-)
+from .errors import BadOrder, EigFailure, NonHermitianInput, NonPositiveSpectrum
 
 # Tolerances (absolute-plus-relative where a norm scale exists).
 ETA_HERM = 1e-10     # Hermitian symmetry defect
@@ -29,48 +29,107 @@ TAU_RECON = 1e-10    # eigendecomposition reconstruction residual
 EPS_PD = 1e-12       # relative positivity floor: lambda_min > EPS_PD * lambda_max
 
 
+def ct(X: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return X.conj().swapaxes(-1, -2)
+
+
 def hermitize(X: np.ndarray) -> np.ndarray:
     """Return (X + X*)/2."""
-    return (X + X.conj().T) / 2
+    return (X + ct(X)) / 2
 
 
-def max_abs(X: np.ndarray) -> float:
-    return float(np.max(np.abs(X))) if X.size else 0.0
+def max_abs(X: np.ndarray) -> np.ndarray:
+    """Largest entry modulus of each matrix of a stack."""
+    return np.abs(X).max(axis=(-2, -1), initial=0.0)
+
+
+def any_true(mask) -> bool:
+    """``np.any``, cheaper on the numpy bool of a single matrix."""
+    return bool(mask.any() if mask.ndim else mask)
+
+
+def unbatch(x):
+    """A single matrix's 0-d result as a Python scalar; a stack's as is."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def pymax(a, b):
+    """Elementwise builtin ``max(a, b)``: ``a`` unless ``b > a`` (so of
+    equal values, and against NaN, the first, unlike ``np.maximum``)."""
+    return np.where(b > a, b, a)
 
 
 def require_square(X, name: str = "matrix") -> np.ndarray:
     X = np.asarray(X)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
+    if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise NonHermitianInput(f"{name} must be square, got shape {X.shape}")
     return X
 
 
-def is_hermitian(X: np.ndarray, tol: float = ETA_HERM) -> bool:
+def is_hermitian(X, tol: float = ETA_HERM):
+    """Symmetry test per matrix: a bool for one matrix, a bool array for a stack."""
     X = np.asarray(X)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
+    if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         return False
-    return max_abs(X - X.conj().T) <= tol * (1.0 + max_abs(X))
+    return unbatch(max_abs(X - ct(X)) <= tol * (1.0 + max_abs(X)))
 
 
 def require_hermitian(X, tol: float = ETA_HERM) -> np.ndarray:
     """Validate the Hermitian invariant and return X as an ndarray."""
     X = require_square(X)
-    defect = max_abs(X - X.conj().T)
-    if defect > tol * (1.0 + max_abs(X)):
-        raise NonHermitianInput(f"symmetry defect {defect:.3e} exceeds tolerance")
+    defect = max_abs(X - ct(X))
+    if any_true(defect > tol * (1.0 + max_abs(X))):
+        raise NonHermitianInput(f"symmetry defect {np.max(defect):.3e} exceeds tolerance")
     return X
 
 
-def is_unitary(U: np.ndarray, tol: float = ETA_UNIT) -> bool:
+def is_unitary(U: np.ndarray, tol: float = ETA_UNIT):
     U = np.asarray(U)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+    if U.ndim < 2 or U.shape[-1] != U.shape[-2]:
         return False
-    gram = U @ U.conj().T
-    return max_abs(gram - np.eye(U.shape[0])) <= tol * (1.0 + max_abs(gram))
+    gram = U @ ct(U)
+    return unbatch(max_abs(gram - np.eye(U.shape[-1])) <= tol * (1.0 + max_abs(gram)))
+
+
+def row_power(w: np.ndarray, e) -> np.ndarray:
+    """``w ** e`` with one exponent per row of ``w`` (or one for all rows),
+    each distinct exponent applied as a Python float to its rows: numpy
+    takes sqrt, square or reciprocal for a scalar 0.5, 2 or -1 but pow,
+    which can differ in the last bit, for an exponent array."""
+    e = np.asarray(e, dtype=float)
+    if e.ndim == 0:
+        return w ** float(e)
+    out = np.empty_like(w)
+    for v in np.unique(e):
+        rows = e == v
+        out[rows] = w[rows] ** float(v)
+    return out
+
+
+def _eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        w, U = np.linalg.eigh(hermitize(H))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise EigFailure(str(exc)) from exc
+    return w[..., ::-1].copy(), U[..., ::-1].copy()
+
+
+def _pd_eigh(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    w, U = _eigh(P)
+    top, low = w.T[0], w.T[-1]           # per matrix; scalars for one matrix
+    bad = (top <= 0.0) | (low <= EPS_PD * top)
+    if any_true(bad):
+        i = np.argmax(bad)
+        raise NonPositiveSpectrum(
+            f"eigenvalue {np.ravel(low)[i]:.3e} at or below relative floor "
+            f"{EPS_PD:.0e} * {np.ravel(top)[i]:.3e}"
+        )
+    return w, U
 
 
 def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix (or of each of a stack).
 
     Returns ``(w, U)`` with ``w`` real and sorted descending and ``U``
     unitary such that ``H = U @ diag(w) @ U*`` within TAU_RECON.
@@ -82,23 +141,12 @@ def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:
     EigFailure
         If the decomposition does not converge.
     """
-    H = require_hermitian(H)
-    try:
-        w, U = np.linalg.eigh(hermitize(H))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigFailure(str(exc)) from exc
-    return w[::-1].copy(), U[:, ::-1].copy()
+    return _eigh(require_hermitian(H))
 
 
 def pd_eig(P) -> tuple[np.ndarray, np.ndarray]:
     """hermitian_eig plus the positive-definite spectrum floor."""
-    w, U = hermitian_eig(P)
-    if w[0] <= 0.0 or w[-1] <= EPS_PD * w[0]:
-        raise NonPositiveSpectrum(
-            f"eigenvalue {w[-1]:.3e} at or below relative floor "
-            f"{EPS_PD:.0e} * {w[0]:.3e}"
-        )
-    return w, U
+    return _pd_eigh(require_hermitian(P))
 
 
 def require_pd(P) -> np.ndarray:
@@ -108,6 +156,27 @@ def require_pd(P) -> np.ndarray:
     return P
 
 
+def from_eig(U: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """U diag(f) U*, re-Hermitized, for each matrix of a stack."""
+    return hermitize((U * f[..., None, :]) @ ct(U))
+
+
+def power_from_eig(w: np.ndarray, U: np.ndarray, r) -> np.ndarray:
+    """P^r from the eigensystem of P, with one exponent per matrix (or one
+    for all); a zero exponent gives the exact identity."""
+    X = from_eig(U, row_power(w, r))
+    zero = np.asarray(r) == 0
+    if any_true(zero):
+        X[zero] = np.eye(w.shape[-1])
+    return X
+
+
+def _power(P: np.ndarray, r) -> np.ndarray:
+    if np.all(np.asarray(r) == 0):
+        return np.broadcast_to(np.eye(P.shape[-1], dtype=P.dtype), P.shape).copy()
+    return power_from_eig(*_pd_eigh(P), r)
+
+
 def mat_power(P, r: float) -> np.ndarray:
     """Fractional power of a positive definite matrix via eigendecomposition.
 
@@ -115,31 +184,47 @@ def mat_power(P, r: float) -> np.ndarray:
     relative floor raise NonPositiveSpectrum rather than being clamped.
     """
     P = require_square(P, "P")
-    if r == 0:
-        return np.eye(P.shape[0], dtype=P.dtype)
-    w, U = pd_eig(P)
-    return hermitize((U * w**float(r)) @ U.conj().T)
+    if np.any(np.asarray(r) != 0):
+        require_hermitian(P)
+    return _power(P, r)
+
+
+class Spd(NamedTuple):
+    """A positive definite stack's eigensystem and square roots."""
+
+    w: np.ndarray
+    U: np.ndarray
+    root: np.ndarray
+    inv_root: np.ndarray
+
+
+def spd(P: np.ndarray) -> Spd:
+    """Decompose a validated positive definite stack (floor enforced)."""
+    w, U = _pd_eigh(P)
+    s = np.sqrt(w)[..., None, :]
+    return Spd(w, U, hermitize((U * s) @ ct(U)), hermitize((U / s) @ ct(U)))
 
 
 def mat_sqrt_pair(P) -> tuple[np.ndarray, np.ndarray]:
     """Return (P^{1/2}, P^{-1/2}) from a single eigendecomposition."""
-    w, U = pd_eig(P)
-    s = np.sqrt(w)
-    root = hermitize((U * s) @ U.conj().T)
-    inv_root = hermitize((U / s) @ U.conj().T)
-    return root, inv_root
+    s = spd(require_hermitian(P))
+    return s.root, s.inv_root
+
+
+def _exp(H: np.ndarray) -> np.ndarray:
+    w, U = _eigh(H)
+    return from_eig(U, np.exp(w))
 
 
 def mat_exp(H) -> np.ndarray:
     """Matrix exponential of a Hermitian matrix (eigendecomposition route)."""
-    w, U = hermitian_eig(H)
-    return hermitize((U * np.exp(w)) @ U.conj().T)
+    return _exp(require_hermitian(H))
 
 
 def mat_log(P) -> np.ndarray:
     """Matrix logarithm of a positive definite matrix."""
     w, U = pd_eig(P)
-    return hermitize((U * np.log(w)) @ U.conj().T)
+    return from_eig(U, np.log(w))
 
 
 def spectrum_of_factor(F: np.ndarray) -> np.ndarray:
@@ -153,6 +238,11 @@ def spectrum_of_factor(F: np.ndarray) -> np.ndarray:
     return s * s
 
 
+def _compound(M: np.ndarray, k: int) -> np.ndarray:
+    subs = np.array(list(combinations(range(M.shape[-1]), int(k))))
+    return np.linalg.det(M[..., subs[:, None, :, None], subs[None, :, None, :]])
+
+
 def compound(M, k: int) -> np.ndarray:
     """k-th multiplicative compound: all k-by-k minors of M.
 
@@ -161,12 +251,28 @@ def compound(M, k: int) -> np.ndarray:
     ``compound(M, n) == [[det M]]``.
     """
     M = require_square(M, "M")
-    n = M.shape[0]
+    n = M.shape[-1]
     if not isinstance(k, (int, np.integer)) or k < 1 or k > n:
         raise BadOrder(f"compound order k={k} outside 1..{n}")
-    subs = np.array(list(combinations(range(n), int(k))))
-    blocks = M[subs[:, None, :, None], subs[None, :, None, :]]
-    return np.linalg.det(blocks)
+    return _compound(M, k)
+
+
+def pd_draws(n: int, seed: int, spread: float) -> tuple[np.ndarray, np.ndarray]:
+    """The random draws of ``sample_pd``: a complex Gaussian matrix and the
+    log-uniform eigenvalues, from the generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    lam = np.exp(rng.uniform(-np.log(spread), np.log(spread), n))
+    return Z, lam
+
+
+def pd_compose(Z: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Q diag(lam) Q* from stacked draws, with Q the phase-fixed unitary
+    factor of Z (so Q is Haar distributed)."""
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    Q = Q * (d / np.abs(d))[..., None, :]
+    return hermitize((Q * lam[..., None, :]) @ ct(Q))
 
 
 def sample_pd(n: int, seed: int, spread: float) -> np.ndarray:
@@ -180,15 +286,9 @@ def sample_pd(n: int, seed: int, spread: float) -> np.ndarray:
         raise ValueError(f"n must be >= 1, got {n}")
     if spread < 1.0:
         raise ValueError(f"spread must be >= 1, got {spread}")
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(Z)
-    d = np.diagonal(R)
-    Q = Q * (d / np.abs(d))
-    lam = np.exp(rng.uniform(-np.log(spread), np.log(spread), n))
-    return hermitize((Q * lam) @ Q.conj().T)
+    return pd_compose(*pd_draws(n, seed, spread))
 
 
-def spectral_norm(X) -> float:
-    """Largest singular value."""
-    return float(np.linalg.svd(np.asarray(X), compute_uv=False)[0])
+def spectral_norm(X):
+    """Largest singular value (per matrix of a stack)."""
+    return unbatch(np.linalg.svd(np.asarray(X), compute_uv=False)[..., 0])

@@ -22,7 +22,7 @@ from .errors import (
     NegativeEntry,
     NonrealSpectrum,
 )
-from .linalg import compound, hermitian_eig, is_hermitian, require_square
+from .linalg import _compound, _eigh, is_hermitian, pymax, require_square, unbatch
 
 TAU_MAJ = 1e-9         # default slack: absolute on sums, log-space absolute
 LOG_FLOOR = 1e-300     # entries below this are rejected before taking logs
@@ -105,25 +105,31 @@ def log_majorizes(y, x, tol: float = TAU_MAJ) -> MajorizationReport:
 
 
 def nonneg_spectrum(X) -> np.ndarray:
-    """Descending real eigenvalues of X.
+    """Descending real eigenvalues of X (of each matrix of a stack).
 
     Hermitian inputs go through the symmetric solver.  Non-Hermitian inputs
     are accepted when they are diagonalizable with (near-)real spectrum,
     e.g. products of positive semidefinite factors; imaginary parts beyond
-    tolerance raise NonrealSpectrum.
+    tolerance raise NonrealSpectrum.  In a stack the choice is made per
+    matrix.
     """
     X = require_square(X, "X")
-    if is_hermitian(X):
-        w, _ = hermitian_eig(X)
-        return w
-    try:
-        w = np.linalg.eigvals(X)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigFailure(str(exc)) from exc
-    scale = 1.0 + float(np.max(np.abs(w.real)))
-    if float(np.max(np.abs(w.imag))) > ETA_IMAG * scale:
-        raise NonrealSpectrum("eigenvalues have non-negligible imaginary parts")
-    return -np.sort(-w.real, kind="stable")
+    n = X.shape[-1]
+    flat = X.reshape(-1, n, n)
+    herm = is_hermitian(flat)
+    out = np.empty(flat.shape[:-1])
+    if np.any(herm):
+        out[herm] = _eigh(flat[herm])[0]
+    if not np.all(herm):
+        try:
+            w = np.linalg.eigvals(flat[~herm])
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+            raise EigFailure(str(exc)) from exc
+        scale = 1.0 + np.max(np.abs(w.real), axis=-1)
+        if np.any(np.max(np.abs(w.imag), axis=-1) > ETA_IMAG * scale):
+            raise NonrealSpectrum("eigenvalues have non-negligible imaginary parts")
+        out[~herm] = -np.sort(-w.real, axis=-1, kind="stable")
+    return out.reshape(X.shape[:-1])
 
 
 def eig_log_majorizes(X, Y, tol: float = TAU_MAJ) -> MajorizationReport:
@@ -135,17 +141,17 @@ def eig_log_majorizes(X, Y, tol: float = TAU_MAJ) -> MajorizationReport:
     return log_majorizes(nonneg_spectrum(Y), nonneg_spectrum(X), tol)
 
 
-def ky_fan_norm(X, k: int) -> float:
+def ky_fan_norm(X, k: int):
     """Sum of the k largest singular values; k=1 is the spectral norm."""
     X = require_square(X, "X")
-    n = X.shape[0]
+    n = X.shape[-1]
     if not isinstance(k, (int, np.integer)) or k < 1 or k > n:
         raise BadOrder(f"Ky Fan order k={k} outside 1..{n}")
     s = np.linalg.svd(X, compute_uv=False)
-    return float(np.sum(s[: int(k)]))
+    return unbatch(np.sum(s[..., : int(k)], axis=-1))
 
 
-def compound_cross_check(X, Y, tol: float = TAU_MAJ) -> bool:
+def compound_cross_check(X, Y, tol: float = TAU_MAJ):
     """Independent oracle for eig_log_majorizes on positive definite X, Y.
 
     True iff lambda_1(C_k(X)) <= lambda_1(C_k(Y)) * (1 + tol) for every
@@ -154,32 +160,30 @@ def compound_cross_check(X, Y, tol: float = TAU_MAJ) -> bool:
     limited by the conditioning of the operands, so their slack is widened
     to the corresponding roundoff floor when that exceeds ``tol``; at the
     default ensembles the floor is below ``tol`` and has no effect.
-    Restricted to n <= 5 because the compounds grow combinatorially.
+    Restricted to n <= 5 because the compounds grow combinatorially.  On
+    stacks the verdict is per pair of matrices.
     """
     X = require_square(X, "X")
     Y = require_square(Y, "Y")
     if X.shape != Y.shape:
         raise DimensionMismatch(f"operand shapes differ: {X.shape} vs {Y.shape}")
-    n = X.shape[0]
+    n = X.shape[-1]
     if n > 5:
         raise BadOrder(f"compound cross check limited to n <= 5, got {n}")
     eps = float(np.finfo(float).eps)
-    det_x = det_y = 1.0
-    det_tol = tol
-    ok = True
+    ok = np.ones(X.shape[:-2], dtype=bool)
     for k in range(1, n + 1):
-        cx = compound(X, k)
-        cy = compound(Y, k)
+        cx = _compound(X, k)
+        cy = _compound(Y, k)
         wx = np.linalg.eigvalsh(cx)
         wy = np.linalg.eigvalsh(cy)
         if k == 1:
-            kappa = wx[-1] / max(wx[0], eps * wx[-1]) + wy[-1] / max(wy[0], eps * wy[-1])
-            det_tol = max(tol, 64.0 * n * eps * float(kappa))
+            kappa = (wx[..., -1] / pymax(wx[..., 0], eps * wx[..., -1])
+                     + wy[..., -1] / pymax(wy[..., 0], eps * wy[..., -1]))
+            det_tol = pymax(tol, 64.0 * n * eps * kappa)
         gate = det_tol if k == n else tol
-        if float(wx[-1]) > float(wy[-1]) * (1.0 + gate):
-            ok = False
-        if k == n:
-            det_x, det_y = float(cx.real[0, 0]), float(cy.real[0, 0])
-    if abs(det_x - det_y) > det_tol * max(abs(det_x), abs(det_y)):
-        ok = False
-    return ok
+        ok &= ~(wx[..., -1] > wy[..., -1] * (1.0 + gate))
+    det_x, det_y = cx.real[..., 0, 0], cy.real[..., 0, 0]
+    ok &= ~(np.abs(det_x - det_y) > det_tol * pymax(np.abs(det_x), np.abs(det_y)))
+    return unbatch(ok)
+

@@ -14,6 +14,11 @@ from the singular values of F.  This is the same defining formula, but the
 decompositions only ever see the square root of each condition number,
 which is what keeps endpoint identities and determinant identities tight in
 double precision even for badly conditioned inputs.
+
+A and B may be stacks of shape ``(..., n, n)``; the means are then taken
+pair by pair.  The underscore functions take operands decomposed once by
+``linalg.spd`` and a weight per pair, so callers that combine one pair in
+several ways decompose each operand only once.
 """
 
 from __future__ import annotations
@@ -23,17 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NumericBreakdown
-from .linalg import hermitize, mat_sqrt_pair
+from .linalg import Spd, ct, from_eig, hermitize, require_hermitian, row_power, spd
 
 _SINGULAR_FLOOR = 1e4 * np.finfo(float).eps
 
 
-def _check_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
+def _operands(A, B) -> tuple[Spd, Spd]:
     A = np.asarray(A)
     B = np.asarray(B)
     if A.shape != B.shape:
         raise DimensionMismatch(f"operand shapes differ: {A.shape} vs {B.shape}")
-    return A, B
+    return spd(require_hermitian(A)), spd(require_hermitian(B))
 
 
 def _check_weight(t: float) -> float:
@@ -43,38 +48,51 @@ def _check_weight(t: float) -> float:
     return t
 
 
+def gram(F: np.ndarray) -> np.ndarray:
+    """The positive definite matrix F F* carried by a Gram factor."""
+    return hermitize(F @ ct(F))
+
+
+def _metric_factor(a: Spd, b: Spd, t) -> np.ndarray:
+    K = a.inv_root @ b.root            # K K* = A^{-1/2} B A^{-1/2}
+    Uk, s, _ = np.linalg.svd(K)
+    return (a.root @ Uk) * row_power(s, t)[..., None, :]
+
+
 def metric_mean_factor(A, B, t: float) -> np.ndarray:
     """Gram factor F with metric_mean(A, B, t) = F F*."""
-    A, B = _check_pair(A, B)
     t = _check_weight(t)
-    Ah, Aih = mat_sqrt_pair(A)
-    Bh, _ = mat_sqrt_pair(B)
-    K = Aih @ Bh                       # K K* = A^{-1/2} B A^{-1/2}
-    Uk, s, _ = np.linalg.svd(K)
-    return (Ah @ Uk) * s**t
+    return _metric_factor(*_operands(A, B), t)
 
 
 def metric_mean(A, B, t: float) -> np.ndarray:
     """t-weighted metric geometric mean A^{1/2}(A^{-1/2}BA^{-1/2})^t A^{1/2}."""
-    F = metric_mean_factor(A, B, t)
-    return hermitize(F @ F.conj().T)
+    return gram(metric_mean_factor(A, B, t))
 
 
-def _inv_sharp_eig(A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigensystem (w, U) of C = A^{-1} # B, plus A^{1/2}.
+def _inv_sharp(a: Spd, b: Spd) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem (w, U) of C = A^{-1} # B.
 
     C is evaluated as A^{-1/2} (A^{1/2} B A^{1/2})^{1/2} A^{-1/2}, which is
     metric_mean(A^{-1}, B, 1/2) written directly in terms of the factors of
     A so the inverse is never formed.
     """
-    A, B = _check_pair(A, B)
-    Ah, Aih = mat_sqrt_pair(A)
-    Bh, _ = mat_sqrt_pair(B)
-    S = Ah @ Bh                        # S S* = A^{1/2} B A^{1/2}
+    S = a.root @ b.root                # S S* = A^{1/2} B A^{1/2}
     Us, s, _ = np.linalg.svd(S)
-    G = (Aih @ Us) * np.sqrt(s)        # C = G G*
+    G = (a.inv_root @ Us) * np.sqrt(s)[..., None, :]   # C = G G*
     Ug, g, _ = np.linalg.svd(G)
-    return g * g, Ug, Ah
+    return g * g, Ug
+
+
+def _spectral_factor(C: tuple[np.ndarray, np.ndarray], a: Spd, t) -> np.ndarray:
+    """Gram factor C^t A^{1/2} of the spectral mean, from C = A^{-1} # B."""
+    w, U = C
+    return ((U * row_power(w, t)[..., None, :]) @ ct(U)) @ a.root
+
+
+def _nat_factor(a: Spd, b: Spd, t) -> np.ndarray:
+    """Gram factor of the spectral mean of decomposed operands."""
+    return _spectral_factor(_inv_sharp(a, b), a, t)
 
 
 def g_factor(A, B, t: float) -> np.ndarray:
@@ -83,22 +101,19 @@ def g_factor(A, B, t: float) -> np.ndarray:
     Satisfies spectral_mean(A, B, t) = G_t A G_t.
     """
     t = _check_weight(t)
-    w, U, _ = _inv_sharp_eig(A, B)
-    return hermitize((U * w**t) @ U.conj().T)
+    w, U = _inv_sharp(*_operands(A, B))
+    return from_eig(U, row_power(w, t))
 
 
 def spectral_mean_factor(A, B, t: float) -> np.ndarray:
     """Gram factor F with spectral_mean(A, B, t) = F F*."""
     t = _check_weight(t)
-    w, U, Ah = _inv_sharp_eig(A, B)
-    Ct = (U * w**t) @ U.conj().T
-    return Ct @ Ah
+    return _nat_factor(*_operands(A, B), t)
 
 
 def spectral_mean(A, B, t: float) -> np.ndarray:
     """t-weighted spectral geometric mean (A^{-1}#B)^t A (A^{-1}#B)^t."""
-    F = spectral_mean_factor(A, B, t)
-    return hermitize(F @ F.conj().T)
+    return gram(spectral_mean_factor(A, B, t))
 
 
 @dataclass
@@ -124,6 +139,24 @@ class SimilarityWitness:
     target: np.ndarray
 
 
+def _similarity_witness(a: Spd, b: Spd, t) -> SimilarityWitness:
+    C = _inv_sharp(a, b)
+    Gt = from_eig(C[1], row_power(C[0], t))
+    nat_ab = spd(gram(_spectral_factor(C, a, t)))
+    nat_ba = spd(gram(_nat_factor(b, a, t)))   # = A nat_{1-t} B
+
+    V = nat_ab.inv_root @ Gt
+    W = Gt @ nat_ba.root
+    R = V @ W
+    Ur, sr, Vr = np.linalg.svd(R)
+    if np.any(sr[..., -1] <= _SINGULAR_FLOOR * sr[..., 0]):
+        raise NumericBreakdown("R R* is numerically singular")
+    U = ct(Vr) @ ct(Ur)                # R^{-1} (R R*)^{1/2}
+
+    target = nat_ba.root @ U @ nat_ab.root
+    return SimilarityWitness(conjugator=Gt, rotator=U, target=target)
+
+
 def similarity_witness(A, B, t: float) -> SimilarityWitness:
     """Construct the positive-similarity witness for A # B.
 
@@ -133,20 +166,4 @@ def similarity_witness(A, B, t: float) -> SimilarityWitness:
     that way (via the SVD of R) for stability.
     """
     t = _check_weight(t)
-    A, B = _check_pair(A, B)
-    Gt = g_factor(A, B, t)
-    nat_ab = spectral_mean(A, B, t)
-    nat_ba = spectral_mean(B, A, t)    # equals A nat_{1-t} B by reversal
-    nat_ab_h, nat_ab_ih = mat_sqrt_pair(nat_ab)
-    nat_ba_h, _ = mat_sqrt_pair(nat_ba)
-
-    V = nat_ab_ih @ Gt
-    W = Gt @ nat_ba_h
-    R = V @ W
-    Ur, sr, Vr = np.linalg.svd(R)
-    if sr[-1] <= _SINGULAR_FLOOR * sr[0]:
-        raise NumericBreakdown("R R* is numerically singular")
-    U = Vr.conj().T @ Ur.conj().T      # R^{-1} (R R*)^{1/2}
-
-    target = nat_ba_h @ U @ nat_ab_h
-    return SimilarityWitness(conjugator=Gt, rotator=U, target=target)
+    return _similarity_witness(*_operands(A, B), t)

@@ -141,6 +141,19 @@ class TestVerifyCommand:
         rows = list(csv.DictReader(open(csv_path)))
         assert any(r["check_id"] == "counterexample_natlog" for r in rows)
 
+    def test_unreproduced_counterexample_is_listed(self, tmp_path, capsys, monkeypatch):
+        # a false verdict whose reference values do not reproduce fails,
+        # and the failing row must be listed with the summary's count
+        ce = NATLOG_COUNTEREXAMPLE
+        monkeypatch.setitem(ce, "printed_mean", ce["printed_mean"] + 1.0)
+        code, _, json_path = self.run_verify(tmp_path, "e", extra=("--trials", "0"))
+        assert code == 1
+        summary = json.loads(open(json_path).read())
+        assert summary["checks"]["counterexample_natlog"]["failures"] == 1
+        listed = [row["check_id"] for row in summary["failure_rows"]]
+        assert listed == ["counterexample_natlog"]
+        assert summary["failure_rows"][0]["detail"]["reproduction_ok"] == 0.0
+
     def test_out_of_range_without_force_is_config_error(self, tmp_path, capsys):
         code, *_ = self.run_verify(tmp_path, "d", extra=("--s", "0.5,2.1"))
         assert code == 2

@@ -197,6 +197,10 @@ class TestTraceCorollary:
         out = check_trace_corollary(A, B, 0.5, dyadic_grid(10))
         assert out.verdict
 
+    def test_single_point_grid_has_no_descent_to_check(self):
+        out = check_trace_corollary(np.zeros((2, 2)), np.diag([0.1, 0.2]), 0.5, (1.0,))
+        assert out.detail["trace_monotone"] == 0.0
+
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             check_trace_corollary(np.zeros((2, 2)), np.zeros((2, 2)), 0.5, (0.5, 1.0))
