@@ -16,7 +16,7 @@ eigensystems keep only the positive-definite floor.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -257,13 +257,106 @@ def compound(M, k: int) -> np.ndarray:
     return _compound(M, k)
 
 
-def pd_draws(n: int, seed: int, spread: float) -> tuple[np.ndarray, np.ndarray]:
-    """The random draws of ``sample_pd``: a complex Gaussian matrix and the
-    log-uniform eigenvalues, from the generator seeded with ``seed``."""
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    lam = np.exp(rng.uniform(-np.log(spread), np.log(spread), n))
-    return Z, lam
+# numpy's SeedSequence hash and PCG64 seeding, whose output NEP 19 keeps
+# stable across numpy versions.
+_M32, _M128 = 0xFFFFFFFF, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def require_seed(seed) -> int:
+    """Validate a seed: a nonnegative ``int`` (a ``bool`` is not a seed)."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    return seed
+
+
+def seed_words(seed: int) -> list[int]:
+    """A nonnegative int as numpy coerces it to SeedSequence entropy: its
+    32-bit words, least significant first (one word for 0)."""
+    return [(seed >> i) & _M32 for i in range(0, max(seed.bit_length(), 1), 32)]
+
+
+def seed_hash(words, n_words: int) -> np.ndarray:
+    """``SeedSequence(row).generate_state(n_words)`` for every row of an
+    ``(N, L)`` array of 32-bit entropy words, in one vectorised pass.
+
+    numpy hashes an entropy of fewer than four words (its pool size) as if
+    it were zero-padded to four, so rows of up to four words may be
+    zero-padded to a common length.
+    """
+    words = np.asarray(words, dtype=np.uint32)
+    cols = list(words.T) + [np.zeros(len(words), np.uint32)] * (4 - words.shape[1])
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ np.uint32(h)
+        h = (h * _MULT_A) & _M32
+        v = v * np.uint32(h)
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        v = _MIX_L * x - _MIX_R * y
+        return v ^ (v >> 16)
+
+    pool = [hashmix(c) for c in cols[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for c in cols[4:]:                      # the words past the pool
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(c))
+    out = np.empty((len(words), n_words), np.uint32)
+    h = _INIT_B
+    for i in range(n_words):
+        v = pool[i % 4] ^ np.uint32(h)
+        h = (h * _MULT_B) & _M32
+        v = v * np.uint32(h)
+        out[:, i] = v ^ (v >> 16)
+    return out
+
+
+def rng_keys(seeds) -> np.ndarray:
+    """The key that ``np.random.default_rng(seed)`` seeds PCG64 with, for
+    each seed: ``SeedSequence(seed).generate_state(4, np.uint64)``, as an
+    ``(N, 4)`` uint64 array hashed in one pass.  ``seeds`` is an int of any
+    size (a batch of one) or an array of ints below 2**64."""
+    if isinstance(seeds, int):
+        words = np.array([seed_words(seeds)], dtype=np.uint32)
+    else:
+        s = np.asarray(seeds, dtype=np.uint64)
+        words = np.stack([s & _M32, s >> 32], axis=-1)
+    return seed_hash(words, 8).astype("<u4").view("<u8").astype(np.uint64)
+
+
+def generators(keys) -> Iterator[np.random.Generator]:
+    """One generator, set in turn to the state ``default_rng`` starts from
+    for each PCG64 key (a row of ``rng_keys``): draw from it for one key
+    before advancing to the next."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    for s_hi, s_lo, i_hi, i_lo in np.asarray(keys).tolist():
+        # PCG64 seeding: the first two words the initial state, the last two the stream
+        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _M128
+        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _M128
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
+def pd_draws(n: int, keys, spreads) -> tuple[np.ndarray, np.ndarray]:
+    """The random draws of ``sample_pd`` for a stack, one matrix per PCG64
+    key and spread: a complex Gaussian matrix and log-uniform eigenvalues
+    in ``[1/spread, spread]``."""
+    G = np.empty((len(keys), 2, n, n))
+    u = np.empty((len(keys), n))
+    bounds = np.log(np.asarray(spreads, dtype=float))
+    for i, rng in enumerate(generators(keys)):
+        rng.standard_normal(out=G[i])          # the real parts, then the imaginary
+        u[i] = rng.uniform(-bounds[i], bounds[i], n)
+    return G[:, 0] + 1j * G[:, 1], np.exp(u)
 
 
 def pd_compose(Z: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -280,13 +373,14 @@ def sample_pd(n: int, seed: int, spread: float) -> np.ndarray:
 
     Q is a Haar-like complex unitary from the seeded generator and the
     eigenvalues are log-uniform in [1/spread, spread].  Deterministic in
-    (n, seed, spread); spread 1 forces a unit spectrum, i.e. the identity.
+    (n, seed, spread), with ``seed`` a nonnegative int of any size; spread 1
+    forces a unit spectrum, i.e. the identity.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if spread < 1.0:
         raise ValueError(f"spread must be >= 1, got {spread}")
-    return pd_compose(*pd_draws(n, seed, spread))
+    return pd_compose(*pd_draws(n, rng_keys(require_seed(seed)), [spread]))[0]
 
 
 def spectral_norm(X):

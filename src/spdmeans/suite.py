@@ -38,6 +38,7 @@ from .linalg import (
     _power,
     ct,
     from_eig,
+    generators,
     hermitize,
     mat_power,
     max_abs,
@@ -46,7 +47,11 @@ from .linalg import (
     power_from_eig,
     pymax,
     require_hermitian,
+    require_seed,
+    rng_keys,
     row_power,
+    seed_hash,
+    seed_words,
     spd,
     spectral_norm,
     spectrum_of_factor,
@@ -138,6 +143,7 @@ class SuiteConfig:
     force_out_of_range: bool = False
 
     def validate(self) -> None:
+        require_seed(self.seed)
         if self.trials < 0 or self.limit_trials < 0:
             raise ValueError("trial counts must be nonnegative")
         lo, hi = self.dims
@@ -819,8 +825,9 @@ def _capped_spread(spread: float, power: float) -> float:
 
 # A trial's draws are taken from its own generator in a fixed order: the
 # dimension (drawn by ``_run_trials``), the parameters, then the seeds of
-# its random matrices.  Each matrix is kept as its raw draws (``pd_draws``)
-# and composed per group.
+# its random matrices.  A matrix is kept as ``(n, spread, seed)`` until
+# ``_seed_matrices`` hashes the seeds of a whole check into PCG64 keys;
+# its Gaussian and eigenvalue draws are made per stack.
 
 def _draw_seed(rng) -> int:
     return int(rng.integers(0, 2**62))
@@ -835,8 +842,8 @@ def _draw_dim(cfg: SuiteConfig, rng) -> int:
     return int(rng.integers(lo, hi + 1))
 
 
-def _draw_pd(rng, n: int, spread: float) -> tuple[np.ndarray, np.ndarray]:
-    return pd_draws(n, _draw_seed(rng), spread)
+def _draw_pd(rng, n: int, spread: float) -> tuple:
+    return n, spread, _draw_seed(rng)
 
 
 def _draw_pair(rng, n: int, spread: float) -> dict:
@@ -905,11 +912,20 @@ def _trial_lambda1(cfg, rng, n):
     return {"s": s, **_draw_pair(rng, n, _capped_spread(cfg.spread, 1.0))}
 
 
+def _seed_matrices(draws: list[dict]) -> None:
+    """Replace the seed of every random matrix of the draws by the PCG64
+    key of its generator, all hashed in one pass."""
+    mats = [(d, key) for d in draws for key, v in d.items() if isinstance(v, tuple)]
+    for (d, key), rng_key in zip(mats, rng_keys([d[key][2] for d, key in mats])):
+        d[key] = d[key][:2] + (rng_key,)
+
+
 def _stack(values: list) -> np.ndarray:
-    """One group's values of a draw key: raw PD draws become a composed
-    stack, scalars a column."""
+    """One group's values of a draw key: seeded PD matrices become a
+    composed stack, scalars a column."""
     if isinstance(values[0], tuple):
-        return pd_compose(np.stack([v[0] for v in values]), np.stack([v[1] for v in values]))
+        n, spreads, keys = values[0][0], [v[1] for v in values], np.stack([v[2] for v in values])
+        return pd_compose(*pd_draws(n, keys, spreads))
     return np.array(values)
 
 
@@ -1049,23 +1065,29 @@ _STACK_ENTRIES = 4096
 
 
 def _run_trials(cfg: SuiteConfig, idx: int, check: _Check, tally: OracleTally):
-    """All trials of one check: draw each from its own generator, then
-    evaluate the trials of each dimension in stacks of at most
+    """All trials of one check: draw each from its own generator (seeded
+    as ``default_rng(SeedSequence([seed, idx, k]).generate_state(1)[0])``),
+    then evaluate the trials of each dimension in stacks of at most
     ``_STACK_ENTRIES`` matrix entries."""
     n_trials = 0 if cfg.trials == 0 else int(getattr(cfg, check.trials))
-    seeds = [int(np.random.SeedSequence([cfg.seed, idx, k]).generate_state(1)[0])
-             for k in range(n_trials)]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    entropy = seed_words(cfg.seed) + seed_words(idx)
+    words = np.empty((n_trials, len(entropy) + 1), dtype=np.uint32)
+    words[:, :-1] = entropy
+    words[:, -1] = np.arange(n_trials)
+    seeds = seed_hash(words, 1)[:, 0].tolist()
     groups: dict[int, list[int]] = {}
-    for k, rng in enumerate(rngs):             # every trial draws its dimension first
-        groups.setdefault(_draw_dim(cfg, rng), []).append(k)
+    draws = []
+    for k, rng in enumerate(generators(rng_keys(seeds))):
+        n = _draw_dim(cfg, rng)                # every trial draws its dimension first
+        groups.setdefault(n, []).append(k)
+        draws.append(check.draw(cfg, rng, n))
+    _seed_matrices(draws)
     stacks = []
     for n, rows in groups.items():
         size = max(1, _STACK_ENTRIES // (n * n))
         stacks += [(n, rows[i:i + size]) for i in range(0, len(rows), size)]
     for n, rows in stacks:
-        draws = [check.draw(cfg, rngs[k], n) for k in rows]
-        d = {key: _stack([draw[key] for draw in draws]) for key in draws[0]}
+        d = {key: _stack([draws[k][key] for k in rows]) for key in draws[rows[0]]}
         for i, (k, out) in enumerate(zip(rows, check.run(cfg, tally, d))):
             out.trial, out.seed = k, seeds[k]
             if not out.verdict:

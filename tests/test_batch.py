@@ -16,7 +16,7 @@ from spdmeans import (
 )
 from spdmeans.linalg import mat_power, row_power
 from spdmeans.majorization import nonneg_spectrum
-from spdmeans.suite import _REGISTRY, _stack
+from spdmeans.suite import _REGISTRY, _seed_matrices, _stack
 
 
 def bitwise_equal(x, y) -> bool:
@@ -31,7 +31,9 @@ def same_float(x: float, y: float) -> bool:
 
 
 def draws(check, cfg: SuiteConfig, n: int, k: int) -> list[dict]:
-    return [check.draw(cfg, np.random.default_rng([cfg.seed, j]), n) for j in range(k)]
+    trials = [check.draw(cfg, np.random.default_rng([cfg.seed, j]), n) for j in range(k)]
+    _seed_matrices(trials)
+    return trials
 
 
 @pytest.mark.parametrize("check", _REGISTRY, ids=lambda c: c.check_id)

@@ -178,6 +178,24 @@ class TestVerifyCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("seed", [1.5, True, "7", -1])
+    def test_bad_config_seed_exits_2_without_report(self, tmp_path, capsys, seed):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"trials": 1, "seed": seed}))
+        csv_path, json_path = tmp_path / "x.csv", tmp_path / "x.json"
+        code = cli.main(["verify", "--config", str(cfg_path),
+                         "--out-csv", str(csv_path), "--out-json", str(json_path)])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not csv_path.exists() and not json_path.exists()
+
+    def test_negative_seed_flag_exits_2_without_report(self, tmp_path, capsys):
+        code, csv_path, json_path = self.run_verify(tmp_path, "f", extra=("--seed", "-1"))
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "report_f.csv").exists()
+        assert not (tmp_path / "report_f.json").exists()
+
 
 class TestLimitCommand:
     def test_equal_arguments_zero_error(self, tmp_path, capsys):
@@ -266,6 +284,10 @@ class TestSampleCommand:
                          "--out", str(tmp_path / "x.json")]) == 2
         assert cli.main(["sample", "2", "1", "0.5",
                          "--out", str(tmp_path / "x.json")]) == 2
+        assert cli.main(["sample", "3", "-1", "10",
+                         "--out", str(tmp_path / "x.json")]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
 
 def test_output_dir_override(tmp_path, capsys, monkeypatch):

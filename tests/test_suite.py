@@ -405,6 +405,20 @@ class TestRunSuite:
             SuiteConfig(s_grid=(0.5, 2.5)).validate()
         SuiteConfig(s_grid=(0.5, 2.5), force_out_of_range=True).validate()
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None])
+    def test_seed_must_be_a_nonnegative_int(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SuiteConfig(seed=seed).validate()
+        with pytest.raises(ValueError, match="seed"):
+            SuiteConfig.from_dict({"seed": seed})
+        with pytest.raises(ValueError, match="seed"):
+            sample_pd(2, seed, 10.0)
+
+    def test_large_seeds_are_valid(self):
+        for seed in (0, 2**64, 2**130):
+            SuiteConfig(seed=seed).validate()
+        assert run_suite(SuiteConfig(seed=2**130, trials=2, limit_trials=1))
+
     def test_config_roundtrip(self):
         cfg = SuiteConfig(trials=3, dims=(2, 4), t_grid=(0.25, 0.5))
         again = SuiteConfig.from_dict(cfg.to_dict())
