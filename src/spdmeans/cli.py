@@ -101,15 +101,12 @@ def _config_from_args(args) -> SuiteConfig:
               for name in ("seed", "trials", "limit_trials", "p_min_exp", "spread", "tol")
               if getattr(args, name) is not None}
     if args.dims is not None:
-        lo, hi = (int(v) for v in args.dims.split(","))
-        kwargs["dims"] = (lo, hi)
+        kwargs["dims"] = tuple(int(v) for v in args.dims.split(","))
     for flag in ("t", "r", "s"):
         if getattr(args, flag) is not None:
             kwargs[f"{flag}_grid"] = _grid(getattr(args, flag))
     kwargs["force_out_of_range"] = bool(args.force_out_of_range)
-    cfg = SuiteConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    return SuiteConfig(**kwargs)
 
 
 def _cmd_verify(args) -> int:

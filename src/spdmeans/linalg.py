@@ -15,8 +15,9 @@ eigensystems keep only the positive-definite floor.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -35,8 +36,9 @@ def ct(X: np.ndarray) -> np.ndarray:
 
 
 def hermitize(X: np.ndarray) -> np.ndarray:
-    """Return (X + X*)/2."""
-    return (X + ct(X)) / 2
+    """Return (X + X*)/2 (the sum divided in place unless it is integral)."""
+    S = X + ct(X)
+    return np.divide(S, 2, out=S) if S.dtype.kind in "fc" else S / 2
 
 
 def max_abs(X: np.ndarray) -> np.ndarray:
@@ -189,20 +191,25 @@ def mat_power(P, r: float) -> np.ndarray:
     return _power(P, r)
 
 
-class Spd(NamedTuple):
-    """A positive definite stack's eigensystem and square roots."""
+class Spd:
+    """A positive definite stack's eigensystem ``w, U``; its square roots
+    ``root`` and ``inv_root`` are built on first use."""
 
-    w: np.ndarray
-    U: np.ndarray
-    root: np.ndarray
-    inv_root: np.ndarray
+    def __init__(self, w: np.ndarray, U: np.ndarray):
+        self.w, self.U = w, U
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        return hermitize((self.U * np.sqrt(self.w)[..., None, :]) @ ct(self.U))
+
+    @cached_property
+    def inv_root(self) -> np.ndarray:
+        return hermitize((self.U / np.sqrt(self.w)[..., None, :]) @ ct(self.U))
 
 
 def spd(P: np.ndarray) -> Spd:
     """Decompose a validated positive definite stack (floor enforced)."""
-    w, U = _pd_eigh(P)
-    s = np.sqrt(w)[..., None, :]
-    return Spd(w, U, hermitize((U * s) @ ct(U)), hermitize((U / s) @ ct(U)))
+    return Spd(*_pd_eigh(P))
 
 
 def mat_sqrt_pair(P) -> tuple[np.ndarray, np.ndarray]:
@@ -337,12 +344,13 @@ def generators(keys) -> Iterator[np.random.Generator]:
     for each PCG64 key (a row of ``rng_keys``): draw from it for one key
     before advancing to the next."""
     rng = np.random.Generator(np.random.PCG64(0))
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     for s_hi, s_lo, i_hi, i_lo in np.asarray(keys).tolist():
         # PCG64 seeding: the first two words the initial state, the last two the stream
-        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _M128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _M128
-        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
+        pcg["inc"] = inc = (((i_hi << 64) | i_lo) << 1 | 1) & _M128
+        pcg["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _M128
+        rng.bit_generator.state = state
         yield rng
 
 
@@ -352,11 +360,12 @@ def pd_draws(n: int, keys, spreads) -> tuple[np.ndarray, np.ndarray]:
     in ``[1/spread, spread]``."""
     G = np.empty((len(keys), 2, n, n))
     u = np.empty((len(keys), n))
-    bounds = np.log(np.asarray(spreads, dtype=float))
     for i, rng in enumerate(generators(keys)):
         rng.standard_normal(out=G[i])          # the real parts, then the imaginary
-        u[i] = rng.uniform(-bounds[i], bounds[i], n)
-    return G[:, 0] + 1j * G[:, 1], np.exp(u)
+        rng.random(out=u[i])
+    b = np.log(np.asarray(spreads, dtype=float))[:, None]
+    # bitwise numpy's uniform(-b, b): low + (high - low) * random()
+    return G[:, 0] + 1j * G[:, 1], np.exp(-b + (b + b) * u)
 
 
 def pd_compose(Z: np.ndarray, lam: np.ndarray) -> np.ndarray:

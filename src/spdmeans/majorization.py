@@ -27,6 +27,7 @@ from .linalg import _compound, _eigh, is_hermitian, pymax, require_square, unbat
 TAU_MAJ = 1e-9         # default slack: absolute on sums, log-space absolute
 LOG_FLOOR = 1e-300     # entries below this are rejected before taking logs
 ETA_IMAG = 1e-8        # relative tolerance on imaginary parts of eigenvalues
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -64,28 +65,34 @@ def _check_lengths(y, x) -> tuple[np.ndarray, np.ndarray]:
     return y, x
 
 
-def majorizes(y, x, tol: float = TAU_MAJ) -> MajorizationReport:
-    """Does y majorize x?  Prefix sums of x below those of y, equal totals.
-
-    The slack is absolute, scaled by max(1, l1-norm of the inputs).
-    """
+def _sum_margins(y, x, tol: float) -> tuple[np.ndarray, float, float]:
+    """Prefix-sum margins, the slack scaled by max(1, l1-norm of the
+    inputs), and the total defect."""
     y, x = _check_lengths(y, x)
     margins = np.cumsum(y) - np.cumsum(x)
     scale = max(1.0, float(np.abs(y).sum()), float(np.abs(x).sum()))
-    eff = tol * scale
-    defect = float(margins[-1])
-    verdict = bool(np.all(margins >= -eff) and abs(defect) <= eff)
-    return MajorizationReport("majorize", margins, defect, verdict)
+    return margins, tol * scale, float(margins[-1])
+
+
+def majorizes(y, x, tol: float = TAU_MAJ) -> MajorizationReport:
+    """Does y majorize x?  Prefix sums of x below those of y, equal totals."""
+    margins, eff, defect = _sum_margins(y, x, tol)
+    return MajorizationReport("majorize", margins, defect,
+                              bool(np.all(margins >= -eff) and abs(defect) <= eff))
 
 
 def weak_majorizes(y, x, tol: float = TAU_MAJ) -> MajorizationReport:
     """As majorizes, without the total-equality constraint."""
-    y, x = _check_lengths(y, x)
-    margins = np.cumsum(y) - np.cumsum(x)
-    scale = max(1.0, float(np.abs(y).sum()), float(np.abs(x).sum()))
-    defect = float(margins[-1])
-    verdict = bool(np.all(margins >= -tol * scale))
-    return MajorizationReport("weak_majorize", margins, defect, verdict)
+    margins, eff, defect = _sum_margins(y, x, tol)
+    return MajorizationReport("weak_majorize", margins, defect, bool(np.all(margins >= -eff)))
+
+
+def _log_margins(log_hi, log_lo, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Log-majorization prefix margins of stacked log-spectra (descending;
+    ``log_hi`` dominates), and per row whether every margin clears
+    ``-tol`` and the last, the equality defect, is within ``tol``."""
+    margins = np.cumsum(log_hi, axis=-1) - np.cumsum(log_lo, axis=-1)
+    return margins, (margins.min(axis=-1) >= -tol) & (np.abs(margins[..., -1]) <= tol)
 
 
 def log_majorizes(y, x, tol: float = TAU_MAJ) -> MajorizationReport:
@@ -98,10 +105,8 @@ def log_majorizes(y, x, tol: float = TAU_MAJ) -> MajorizationReport:
     for name, v in (("y", y), ("x", x)):
         if np.any(v < LOG_FLOOR):
             raise NegativeEntry(f"{name} has entries below {LOG_FLOOR:g}")
-    margins = np.cumsum(np.log(y)) - np.cumsum(np.log(x))
-    defect = float(margins[-1])
-    verdict = bool(np.all(margins >= -tol) and abs(defect) <= tol)
-    return MajorizationReport("log_majorize", margins, defect, verdict)
+    margins, verdict = _log_margins(np.log(y), np.log(x), tol)
+    return MajorizationReport("log_majorize", margins, float(margins[-1]), bool(verdict))
 
 
 def nonneg_spectrum(X) -> np.ndarray:
@@ -151,6 +156,32 @@ def ky_fan_norm(X, k: int):
     return unbatch(np.sum(s[..., : int(k)], axis=-1))
 
 
+def _compound_spectra(X: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """What the compound oracle needs of each matrix of a validated stack:
+    the top eigenvalues of the compounds ``C_k``, k = 1..n, the ratio
+    lambda_1 / lambda_n behind the determinant slack, and the determinant."""
+    tops = []
+    for k in range(1, X.shape[-1] + 1):
+        C = _compound(X, k)
+        w = np.linalg.eigvalsh(C)
+        if k == 1:
+            kappa = w[..., -1] / pymax(w[..., 0], _EPS * w[..., -1])
+        tops.append(w[..., -1])
+    return tops, kappa, C.real[..., 0, 0]
+
+
+def _compound_order(x, y, tol: float = TAU_MAJ) -> np.ndarray:
+    """The verdicts of ``compound_cross_check`` from the compound spectra
+    of the dominated and of the dominant stack."""
+    (tops_x, kappa_x, det_x), (tops_y, kappa_y, det_y) = x, y
+    n = len(tops_x)
+    det_tol = pymax(tol, 64.0 * n * _EPS * (kappa_x + kappa_y))
+    ok = ~(np.abs(det_x - det_y) > det_tol * pymax(np.abs(det_x), np.abs(det_y)))
+    for k, (top_x, top_y) in enumerate(zip(tops_x, tops_y), 1):
+        ok &= ~(top_x > top_y * (1.0 + (det_tol if k == n else tol)))
+    return ok
+
+
 def compound_cross_check(X, Y, tol: float = TAU_MAJ):
     """Independent oracle for eig_log_majorizes on positive definite X, Y.
 
@@ -167,23 +198,6 @@ def compound_cross_check(X, Y, tol: float = TAU_MAJ):
     Y = require_square(Y, "Y")
     if X.shape != Y.shape:
         raise DimensionMismatch(f"operand shapes differ: {X.shape} vs {Y.shape}")
-    n = X.shape[-1]
-    if n > 5:
-        raise BadOrder(f"compound cross check limited to n <= 5, got {n}")
-    eps = float(np.finfo(float).eps)
-    ok = np.ones(X.shape[:-2], dtype=bool)
-    for k in range(1, n + 1):
-        cx = _compound(X, k)
-        cy = _compound(Y, k)
-        wx = np.linalg.eigvalsh(cx)
-        wy = np.linalg.eigvalsh(cy)
-        if k == 1:
-            kappa = (wx[..., -1] / pymax(wx[..., 0], eps * wx[..., -1])
-                     + wy[..., -1] / pymax(wy[..., 0], eps * wy[..., -1]))
-            det_tol = pymax(tol, 64.0 * n * eps * kappa)
-        gate = det_tol if k == n else tol
-        ok &= ~(wx[..., -1] > wy[..., -1] * (1.0 + gate))
-    det_x, det_y = cx.real[..., 0, 0], cy.real[..., 0, 0]
-    ok &= ~(np.abs(det_x - det_y) > det_tol * pymax(np.abs(det_x), np.abs(det_y)))
-    return unbatch(ok)
-
+    if X.shape[-1] > 5:
+        raise BadOrder(f"compound cross check limited to n <= 5, got {X.shape[-1]}")
+    return unbatch(_compound_order(_compound_spectra(X), _compound_spectra(Y), tol))

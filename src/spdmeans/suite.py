@@ -24,6 +24,7 @@ equality sub-checks contribute ``-relative deviation``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, NamedTuple
@@ -56,7 +57,7 @@ from .linalg import (
     spectral_norm,
     spectrum_of_factor,
 )
-from .majorization import compound_cross_check, nonneg_spectrum
+from .majorization import _compound_order, _compound_spectra, _log_margins, nonneg_spectrum
 from .means import (
     _check_weight,
     _inv_sharp,
@@ -122,6 +123,26 @@ class OracleTally:
     mismatches: int = 0
 
 
+def _integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) < math.inf
+
+
+# What a SuiteConfig field of each annotated type admits, and its name.
+_FIELD_TYPES = {
+    "int": (_integer, "an integer"),
+    "float": (_real, "a finite real number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "tuple[int, int]": (lambda v: isinstance(v, (tuple, list)) and len(v) == 2
+                        and all(map(_integer, v)), "a pair of integers"),
+    "tuple[float, ...]": (lambda v: isinstance(v, (tuple, list)) and all(map(_real, v)),
+                          "a list of finite real numbers"),
+}
+
+
 @dataclass
 class SuiteConfig:
     """Deterministic configuration for :func:`run_suite`."""
@@ -143,48 +164,39 @@ class SuiteConfig:
     force_out_of_range: bool = False
 
     def validate(self) -> None:
+        for f in fields(self):
+            admits, kind = _FIELD_TYPES[f.type]
+            if not admits(v := getattr(self, f.name)):
+                raise ValueError(f"config field {f.name} must be {kind}, got {v!r}")
         require_seed(self.seed)
-        if self.trials < 0 or self.limit_trials < 0:
-            raise ValueError("trial counts must be nonnegative")
-        lo, hi = self.dims
-        if not (1 <= lo <= hi):
+        if min(self.trials, self.limit_trials, self.p_min_exp) < 0:
+            raise ValueError("trial counts and p_min_exp must be nonnegative")
+        if not 1 <= self.dims[0] <= self.dims[1]:
             raise ValueError(f"bad dimension range {self.dims}")
-        if any(not 0.0 <= t <= 1.0 for t in self.t_grid):
-            raise ValueError("t grid must lie in [0, 1]")
-        if any(r <= 0 for r in self.r_grid):
-            raise ValueError("r grid must be positive")
-        if any(s <= 0 for s in self.s_grid):
-            raise ValueError("s grid must be positive")
+        if not self.t_grid or any(not 0.0 <= t <= 1.0 for t in self.t_grid):
+            raise ValueError("t grid must be nonempty and lie in [0, 1]")
+        if not self.r_grid or any(v <= 0 for v in (*self.r_grid, *self.s_grid)):
+            raise ValueError("r grid must be nonempty; r and s grids must be positive")
         if not self.force_out_of_range and any(s > 2.0 for s in self.s_grid):
             raise ValueError(
                 "s grid exceeds the bound min(1/t, 2); "
                 "set force_out_of_range to run anyway"
             )
-        if self.p_min_exp < 0:
-            raise ValueError("p_min_exp must be nonnegative")
         if self.spread < 1.0:
             raise ValueError("spread must be >= 1")
-        if not (self.tol > 0 and self.psd_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if min(self.tol, self.psd_tol, self.limit_err_threshold, self.limit_floor) <= 0:
+            raise ValueError("tolerances and limit thresholds must be positive")
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
-        kwargs = {}
-        for f in fields(cls):
-            if f.name in data:
-                v = data[f.name]
-                kwargs[f.name] = tuple(v) if isinstance(v, list) else v
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**kwargs)
+        cfg = cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in data.items()})
         cfg.validate()
         return cfg
 
@@ -207,17 +219,24 @@ _NOT_MARGINS = frozenset(("t", "r", "s", "final_err", "trace_final", "trace_targ
 def _logmaj(cols: dict, name: str, lo, hi, tol: float) -> np.ndarray:
     """Record one log-majorization sub-check per row (``hi`` dominates
     ``lo``, both log-spectra); returns the verdicts."""
-    margins = np.cumsum(hi, axis=-1) - np.cumsum(lo, axis=-1)
-    cols[name] = prefix_min = margins.min(axis=-1)
-    cols[f"{name}_defect"] = defect = margins[..., -1]
-    return (prefix_min >= -tol) & (np.abs(defect) <= tol)
+    margins, ok = _log_margins(hi, lo, tol)
+    cols[name] = margins.min(axis=-1)
+    cols[f"{name}_defect"] = margins[..., -1]
+    return ok
 
 
-def _oracle(tally: OracleTally, ok, dominated, dominant, tol: float) -> None:
-    """Feed each row's verdict and matrices through the compound oracle."""
-    agree = np.asarray(compound_cross_check(dominated, dominant, tol)) == ok
-    tally.comparisons += agree.size
-    tally.mismatches += int(np.count_nonzero(~agree))
+def _oracle(tally: OracleTally, links, tol: float) -> None:
+    """Feed a group's log-majorization verdicts through the compound
+    oracle.  ``links`` holds ``(verdicts, dominated, dominant)`` stacks;
+    the compounds of each distinct stack are computed once."""
+    spectra = {}
+    for ok, *pair in links:
+        for M in pair:
+            if id(M) not in spectra:
+                spectra[id(M)] = _compound_spectra(M)
+        agree = _compound_order(*(spectra[id(M)] for M in pair), tol) == ok
+        tally.comparisons += agree.size
+        tally.mismatches += int(np.count_nonzero(~agree))
 
 
 def _equality(X, Y) -> np.ndarray:
@@ -238,22 +257,17 @@ def _first_min(values, default=None):
     return out
 
 
-def _finish(check_id: str, detail: dict, tol: float) -> CheckOutcome:
-    margins = [
-        v if (d := detail.get(f"{key}_defect")) is None else min(v, -abs(d))
-        for key, v in detail.items()
-        if key not in _NOT_MARGINS and not key.endswith("_defect")
-    ]
-    worst = float(min(margins))
-    return CheckOutcome(check_id=check_id, verdict=bool(worst >= -tol),
-                        worst_margin=worst, detail=detail)
-
-
 def _outcomes(check_id: str, tol: float, cols: dict) -> list[CheckOutcome]:
-    """One outcome per row from per-row detail columns."""
-    names = list(cols)
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in cols.values()))
-    return [_finish(check_id, dict(zip(names, row)), tol) for row in rows]
+    """One outcome per row from per-row detail columns.  A row's worst
+    margin is the builtin ``min`` of its margins in column order."""
+    cols = {key: np.asarray(c, dtype=float) for key, c in cols.items()}
+    worst = _first_min([
+        c if (d := cols.get(f"{key}_defect")) is None else _first_min([c, -np.abs(d)])
+        for key, c in cols.items() if key not in _NOT_MARGINS and not key.endswith("_defect")
+    ])
+    rows = zip(*(c.tolist() for c in cols.values()))
+    return [CheckOutcome(check_id, w >= -tol, w, detail=dict(zip(cols, row)))
+            for w, row in zip(worst.tolist(), rows)]
 
 
 def _one(*matrices) -> list[np.ndarray]:
@@ -302,8 +316,6 @@ def _power_order(check_id, factor, reverse, A, B, t, r, tol, tally):
         eig_base, eig_pow = _pd_eigh(base), _pd_eigh(powered)
         base_r = power_from_eig(*eig_base, r)
         m = low[:, :, None]
-        _oracle(tally, ok_order, np.where(m, powered, base_r),
-                np.where(m, base_r, powered), tol)
 
         def root(mask, e):
             w = np.where(mask[:, None], eig_base[0], eig_pow[0])
@@ -311,7 +323,8 @@ def _power_order(check_id, factor, reverse, A, B, t, r, tol, tally):
             return power_from_eig(w, U, 1.0 / e)
 
         mq, mp = root(q == 1.0, q), root(p == 1.0, p)
-        _oracle(tally, ok_mono, *((mq, mp) if reverse else (mp, mq)), tol)
+        _oracle(tally, [(ok_order, np.where(m, powered, base_r), np.where(m, base_r, powered)),
+                        (ok_mono, *((mq, mp) if reverse else (mp, mq)))], tol)
     return _outcomes(check_id, tol, cols)
 
 
@@ -367,7 +380,7 @@ def _natlog(A, B, t, s, tol, tally):
     ok = _logmaj(cols, "sandwich_vs_mean", np.log(spectrum_of_factor(F_mid)) / s[:, None],
                  np.log(spectrum_of_factor(F_nat)), tol)
     if _small(tally, A):
-        _oracle(tally, ok, _power(gram(F_mid), 1.0 / s), gram(F_nat), tol)
+        _oracle(tally, [(ok, _power(gram(F_mid), 1.0 / s), gram(F_nat))], tol)
     return _outcomes("natlog_order", tol, cols)
 
 
@@ -401,17 +414,15 @@ def _chain(A, B, t, tol, tally):
     }
     logs = {k: np.log(spectrum_of_factor(f)) for k, f in F.items()}
     logs["logeuclid"] = log_le
-    small = _small(tally, A)
-    if small:
-        mats = {k: gram(f) for k, f in F.items()}
-        mats["logeuclid"] = from_eig(U_le, np.exp(log_le))
 
-    cols = {"t": t}
+    cols, links = {"t": t}, []
     for lo, hi in (("metric", "logeuclid"), ("logeuclid", "sandwich"),
                    ("sandwich", "spectral"), ("metric", "spectral")):
-        ok = _logmaj(cols, f"{lo}_vs_{hi}", logs[lo], logs[hi], tol)
-        if small:
-            _oracle(tally, ok, mats[lo], mats[hi], tol)
+        links.append((_logmaj(cols, f"{lo}_vs_{hi}", logs[lo], logs[hi], tol), lo, hi))
+    if _small(tally, A):
+        mats = {k: gram(f) for k, f in F.items()}
+        mats["logeuclid"] = from_eig(U_le, np.exp(log_le))
+        _oracle(tally, [(ok, mats[lo], mats[hi]) for ok, lo, hi in links], tol)
     return _outcomes("chain_order", tol, cols)
 
 
@@ -521,16 +532,16 @@ def _limit(family, A, B, t, p_grid, tol, err_threshold, floor, tally):
     # log-majorization descent between consecutive grid points, plus the
     # induced Ky Fan norm descent (the generating family of unitarily
     # invariant norms)
+    oks = []
     for i in range(len(p_grid) - 1):
-        name = f"logmaj_step_{i}"
-        ok = _logmaj(cols, name, specs[i + 1], specs[i], tol)
-        if _small(tally, A):
-            _oracle(tally, ok, mats[i + 1], mats[i], tol)
+        oks.append(_logmaj(cols, f"logmaj_step_{i}", specs[i + 1], specs[i], tol))
         lam_hi, lam_lo = np.exp(specs[i]), np.exp(specs[i + 1])
         cols[f"kyfan_step_{i}"] = _first_min([
             (np.sum(lam_hi[:, : k + 1], axis=-1) - np.sum(lam_lo[:, : k + 1], axis=-1)) / kf_scale
             for k in range(n)
         ])
+    if _small(tally, A):
+        _oracle(tally, [(ok, mats[i + 1], mats[i]) for i, ok in enumerate(oks)], tol)
 
     if family == "sandwich":   # bounded above by exp(A) nat_t exp(B)
         upper = np.log(spectrum_of_factor(_exp_spectral_factor(A, B, t, 1.0)))
@@ -614,7 +625,7 @@ def _lambda1(A, B, s, tol, tally):
     cols = {"s": s, "lambda1": log_y[:, 0] - log_x[:, 0]}
     ok = _logmaj(cols, "product_power", log_x, log_y, tol)
     if _small(tally, A):
-        _oracle(tally, ok, gram(Fx), _power(gram(Fy), s), tol)
+        _oracle(tally, [(ok, gram(Fx), _power(gram(Fy), s))], tol)
     return _outcomes("lambda1_power_order", tol, cols)
 
 
@@ -719,6 +730,11 @@ def check_similarity(
 # fixed counterexample checks (expected-false verdicts)
 # --------------------------------------------------------------------------
 
+def _delta(X, reference) -> float:
+    """Largest entry deviation from a printed reference value."""
+    return float(np.max(np.abs(X - reference)))
+
+
 def check_natlog_counterexample(
     tol: float = 1e-9, tally: OracleTally | None = None
 ) -> CheckOutcome:
@@ -728,36 +744,21 @@ def check_natlog_counterexample(
     ce = NATLOG_COUNTEREXAMPLE
     A, B, t, s = ce["A"], ce["B"], ce["t"], ce["s"]
     out = check_natlog(A, B, t, s, tol=tol, force=True, tally=tally)
-    detail = out.detail
-    detail["out_of_range"] = 1.0
-
+    out.check_id, out.witness = "counterexample_natlog", {"A": A, "B": B, "t": t, "s": s}
     F_mid = mat_power(B, t * s / 2.0) @ mat_power(A, (1.0 - t) * s / 2.0)
-    sandwich = mat_power(hermitize(F_mid @ F_mid.conj().T), 1.0 / s)
+    sandwich = mat_power(gram(F_mid), 1.0 / s)
     nat = spectral_mean(A, B, t)
-    spec_sandwich = np.linalg.eigvalsh(sandwich)[::-1]
-    spec_nat = np.linalg.eigvalsh(nat)[::-1]
-
-    d_spec_sandwich = float(np.max(np.abs(spec_sandwich - ce["printed_sandwich_spectrum"])))
-    d_spec_nat = float(np.max(np.abs(spec_nat - ce["printed_mean_spectrum"])))
-    d_entry_sandwich = float(np.max(np.abs(sandwich - ce["printed_sandwich"])))
-    d_entry_nat = float(np.max(np.abs(nat - ce["printed_mean"])))
-    detail["delta_spectrum_sandwich"] = d_spec_sandwich
-    detail["delta_spectrum_mean"] = d_spec_nat
-    detail["delta_entries_sandwich"] = d_entry_sandwich
-    detail["delta_entries_mean"] = d_entry_nat
-    reproduced = (
-        max(d_spec_sandwich, d_spec_nat) <= SPECTRUM_TOL
-        and max(d_entry_sandwich, d_entry_nat) <= ENTRY_TOL
-    )
-    detail["reproduction_ok"] = float(reproduced)
-
-    return CheckOutcome(
-        check_id="counterexample_natlog",
-        verdict=out.verdict,
-        worst_margin=out.worst_margin,
-        witness={"A": A, "B": B, "t": t, "s": s},
-        detail=detail,
-    )
+    d = out.detail
+    d["out_of_range"] = 1.0
+    d["delta_spectrum_sandwich"] = _delta(np.linalg.eigvalsh(sandwich)[::-1],
+                                          ce["printed_sandwich_spectrum"])
+    d["delta_spectrum_mean"] = _delta(np.linalg.eigvalsh(nat)[::-1], ce["printed_mean_spectrum"])
+    d["delta_entries_sandwich"] = _delta(sandwich, ce["printed_sandwich"])
+    d["delta_entries_mean"] = _delta(nat, ce["printed_mean"])
+    d["reproduction_ok"] = float(
+        max(d["delta_spectrum_sandwich"], d["delta_spectrum_mean"]) <= SPECTRUM_TOL
+        and max(d["delta_entries_sandwich"], d["delta_entries_mean"]) <= ENTRY_TOL)
+    return out
 
 
 def check_spectral_not_monotone(psd_tol: float = 1e-9) -> CheckOutcome:
@@ -767,32 +768,18 @@ def check_spectral_not_monotone(psd_tol: float = 1e-9) -> CheckOutcome:
     the reference values reproduced."""
     ce = MONOTONE_COUNTEREXAMPLE
     A, B1, B2, t = ce["A"], ce["B1"], ce["B2"], ce["t"]
-    detail: dict[str, float] = {"t": t}
-
-    ordered = float(np.linalg.eigvalsh(B1 - B2)[0])
-    detail["b1_ge_b2"] = ordered
-
     N1 = spectral_mean(A, B1, t)
     N2 = spectral_mean(A, B2, t)
-    diff = N1 - N2
-    eigs = np.sort(np.linalg.eigvalsh(diff))
-    ref = float(np.linalg.eigvalsh(N1)[-1])
-    margin = float(eigs[0]) / ref
-    detail["psd_margin"] = margin
-
-    d_entry_1 = float(np.max(np.abs(N1 - ce["printed_mean_b1"])))
-    d_entry_2 = float(np.max(np.abs(N2 - ce["printed_mean_b2"])))
-    d_eigs = float(np.max(np.abs(eigs - np.sort(ce["printed_diff_eigs"]))))
-    detail["delta_entries_mean_b1"] = d_entry_1
-    detail["delta_entries_mean_b2"] = d_entry_2
-    detail["delta_diff_eigs"] = d_eigs
-    reproduced = (
-        ordered >= -psd_tol
-        and max(d_entry_1, d_entry_2) <= ENTRY_TOL
-        and d_eigs <= EIG_TOL
-    )
-    detail["reproduction_ok"] = float(reproduced)
-
+    eigs = np.sort(np.linalg.eigvalsh(N1 - N2))
+    margin = float(eigs[0]) / float(np.linalg.eigvalsh(N1)[-1])
+    detail = {"t": t, "b1_ge_b2": float(np.linalg.eigvalsh(B1 - B2)[0]), "psd_margin": margin,
+              "delta_entries_mean_b1": _delta(N1, ce["printed_mean_b1"]),
+              "delta_entries_mean_b2": _delta(N2, ce["printed_mean_b2"]),
+              "delta_diff_eigs": _delta(eigs, np.sort(ce["printed_diff_eigs"]))}
+    detail["reproduction_ok"] = float(
+        detail["b1_ge_b2"] >= -psd_tol
+        and max(detail["delta_entries_mean_b1"], detail["delta_entries_mean_b2"]) <= ENTRY_TOL
+        and detail["delta_diff_eigs"] <= EIG_TOL)
     return CheckOutcome(
         check_id="counterexample_monotone",
         verdict=bool(margin >= -psd_tol),
@@ -825,21 +812,23 @@ def _capped_spread(spread: float, power: float) -> float:
 
 # A trial's draws are taken from its own generator in a fixed order: the
 # dimension (drawn by ``_run_trials``), the parameters, then the seeds of
-# its random matrices.  A matrix is kept as ``(n, spread, seed)`` until
-# ``_seed_matrices`` hashes the seeds of a whole check into PCG64 keys;
-# its Gaussian and eigenvalue draws are made per stack.
+# its random matrices (a dict display draws its entries in order).  A
+# matrix is kept as ``(n, spread, seed)`` until ``_seed_matrices`` hashes
+# the seeds of a whole check into PCG64 keys; its Gaussian and eigenvalue
+# draws are made per stack.
 
 def _draw_seed(rng) -> int:
-    return int(rng.integers(0, 2**62))
+    # rng.integers(0, 2**62): Lemire's method on a power-of-two range is a shift
+    return rng.bit_generator.random_raw() >> 2
+
+
+def _uniform(rng, lo: float, hi: float) -> float:
+    # bitwise rng.uniform(lo, hi)
+    return lo + (hi - lo) * rng.random()
 
 
 def _draw(grid, rng) -> float:
     return float(grid[int(rng.integers(len(grid)))])
-
-
-def _draw_dim(cfg: SuiteConfig, rng) -> int:
-    lo, hi = cfg.dims
-    return int(rng.integers(lo, hi + 1))
 
 
 def _draw_pd(rng, n: int, spread: float) -> tuple:
@@ -851,21 +840,19 @@ def _draw_pair(rng, n: int, spread: float) -> dict:
 
 
 def _trial_identities(cfg, rng, n):
-    t = _draw(cfg.t_grid, rng)
-    r, s = _draw(cfg.t_grid, rng), _draw(cfg.t_grid, rng)
-    alpha, beta = _draw((0.5, 2.0, 10.0), rng), _draw((0.5, 2.0, 10.0), rng)
-    return {"t": t, "r": r, "s": s, "alpha": alpha, "beta": beta,
+    return {**{key: _draw(cfg.t_grid, rng) for key in ("t", "r", "s")},
+            **{key: _draw((0.5, 2.0, 10.0), rng) for key in ("alpha", "beta")},
             **_draw_pair(rng, n, cfg.spread)}
 
 
-def _trial_pair(cfg, rng, n):
-    t = _draw(cfg.t_grid, rng)
-    return {"t": t, **_draw_pair(rng, n, cfg.spread)}
+def _trial_pair(cfg, rng, n, power: float | None = None):
+    """A weight and a pair, with the spread capped for ``power`` if given."""
+    spread = cfg.spread if power is None else _capped_spread(cfg.spread, power)
+    return {"t": _draw(cfg.t_grid, rng), **_draw_pair(rng, n, spread)}
 
 
 def _trial_power(cfg, rng, n):
-    t = _draw(cfg.t_grid, rng)
-    r = _draw(cfg.r_grid, rng)
+    t, r = _draw(cfg.t_grid, rng), _draw(cfg.r_grid, rng)
     return {"t": t, "r": r, **_draw_pair(rng, n, _capped_spread(cfg.spread, r))}
 
 
@@ -886,30 +873,21 @@ def _trial_natlog(cfg, rng, n):
     return {"t": t, "s": s, **_draw_pair(rng, n, _capped_spread(cfg.spread, s))}
 
 
-def _trial_chain(cfg, rng, n):
-    t = _draw(cfg.t_grid, rng)
-    return {"t": t, **_draw_pair(rng, n, _capped_spread(cfg.spread, 1.0))}
-
-
 def _trial_loewner_monotone(cfg, rng, n):
-    t = _draw(cfg.t_grid, rng)
-    d = {"t": t, **_draw_pair(rng, n, cfg.spread)}
+    d = _trial_pair(cfg, rng, n)
     for key in ("C", "D"):                  # the shrink of A, then of B
         d[f"{key}_perturbation"] = _draw_pd(rng, n, 10.0)
-        d[f"{key}_scale"] = float(rng.uniform(0.05, 0.9))
+        d[f"{key}_scale"] = _uniform(rng, 0.05, 0.9)
     return d
 
 
 def _trial_heinz(cfg, rng, n):
-    d = {"B": _draw_pd(rng, n, cfg.spread), "perturbation": _draw_pd(rng, n, 10.0)}
-    d["scale"] = float(rng.uniform(0.05, 2.0))
-    d["r"] = float(rng.uniform(0.0, 1.0))
-    return d
+    return {"B": _draw_pd(rng, n, cfg.spread), "perturbation": _draw_pd(rng, n, 10.0),
+            "scale": _uniform(rng, 0.05, 2.0), "r": _uniform(rng, 0.0, 1.0)}
 
 
 def _trial_lambda1(cfg, rng, n):
-    s = float(rng.uniform(0.0, 1.0))
-    return {"s": s, **_draw_pair(rng, n, _capped_spread(cfg.spread, 1.0))}
+    return {"s": _uniform(rng, 0.0, 1.0), **_draw_pair(rng, n, _capped_spread(cfg.spread, 1.0))}
 
 
 def _seed_matrices(draws: list[dict]) -> None:
@@ -1023,7 +1001,7 @@ _REGISTRY = (
                _DIAG_A, _DIAG_B, 0.4, 2.0, tol=cfg.tol, tally=tally)]),
     _Check("natlog_order", _trial_natlog, ("A", "B", "t", "s"), _run_natlog,
            lambda cfg, tally: [check_natlog(_DIAG_A, _DIAG_B, 0.5, 1.0, tol=cfg.tol, tally=tally)]),
-    _Check("chain_order", _trial_chain, ("A", "B", "t"),
+    _Check("chain_order", partial(_trial_pair, power=1.0), ("A", "B", "t"),
            lambda cfg, tally, d: _chain(d["A"], d["B"], d["t"], cfg.tol, tally),
            lambda cfg, tally: [check_chain(_DIAG_A, _DIAG_A, 0.7, tol=cfg.tol, tally=tally),
                                check_chain(_DIAG_A, _DIAG_B, 0.0, tol=cfg.tol, tally=tally)]),
@@ -1078,7 +1056,7 @@ def _run_trials(cfg: SuiteConfig, idx: int, check: _Check, tally: OracleTally):
     groups: dict[int, list[int]] = {}
     draws = []
     for k, rng in enumerate(generators(rng_keys(seeds))):
-        n = _draw_dim(cfg, rng)                # every trial draws its dimension first
+        n = int(rng.integers(cfg.dims[0], cfg.dims[1] + 1))   # every trial draws it first
         groups.setdefault(n, []).append(k)
         draws.append(check.draw(cfg, rng, n))
     _seed_matrices(draws)

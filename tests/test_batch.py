@@ -1,5 +1,8 @@
 """Batch invariance: evaluating stacks gives bitwise the results of
-evaluating each matrix (or trial) on its own."""
+evaluating each matrix (or trial) on its own, and the group-level
+shortcuts (square roots built on first use, compounds computed once per
+distinct matrix, margins folded per column) give bitwise the results of
+the direct per-matrix and per-row code."""
 
 import math
 
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 
 from spdmeans import (
+    CheckOutcome,
     OracleTally,
     SuiteConfig,
     compound_cross_check,
@@ -14,8 +18,19 @@ from spdmeans import (
     sample_pd,
     spectral_mean,
 )
-from spdmeans.linalg import mat_power, row_power
-from spdmeans.majorization import nonneg_spectrum
+from spdmeans import suite
+from spdmeans.linalg import (
+    compound,
+    ct,
+    hermitize,
+    mat_power,
+    pd_compose,
+    pd_eig,
+    pymax,
+    row_power,
+    spd,
+)
+from spdmeans.majorization import _compound_order, _compound_spectra, nonneg_spectrum
 from spdmeans.suite import _REGISTRY, _seed_matrices, _stack
 
 
@@ -95,3 +110,115 @@ def test_compound_cross_check_per_pair():
     assert got.shape == (4,)
     for i in range(4):
         assert got[i] == compound_cross_check(A[i], A[3 - i])
+
+
+def test_lazy_roots_match_eager_formulas():
+    P = np.stack([sample_pd(4, s, 100.0) for s in range(5)])
+    w, U = pd_eig(P)
+    s = np.sqrt(w)[..., None, :]
+    root, inv_root = hermitize((U * s) @ ct(U)), hermitize((U / s) @ ct(U))
+    for first in ("root", "inv_root"):       # either may be built first
+        a = spd(P)
+        assert "root" not in vars(a) and "inv_root" not in vars(a)
+        getattr(a, first)
+        assert list(vars(a)) == ["w", "U", first]
+        assert bitwise_equal(a.w, w) and bitwise_equal(a.U, U)
+        assert bitwise_equal(a.root, root) and bitwise_equal(a.inv_root, inv_root)
+        assert a.root is a.root and a.inv_root is a.inv_root
+
+
+@pytest.mark.parametrize("X", [
+    np.arange(9.0).reshape(3, 3),
+    np.arange(8.0).reshape(2, 2, 2) + 1j * np.arange(8.0)[::-1].reshape(2, 2, 2),
+    np.array([[1, 2], [3, 4]]),
+], ids=["real", "complex-stack", "int"])
+def test_hermitize_is_half_the_sum(X):
+    before = X.copy()
+    got = hermitize(X)
+    assert bitwise_equal(got, (X + X.conj().swapaxes(-1, -2)) / 2) and got.dtype.kind in "fc"
+    assert bitwise_equal(X, before)
+
+
+def reference_cross_check(X, Y, tol: float) -> np.ndarray:
+    """The compound oracle as one pass over a pair of stacks, computing
+    the compounds of both operands order by order."""
+    n = X.shape[-1]
+    eps = float(np.finfo(float).eps)
+    ok = np.ones(X.shape[:-2], dtype=bool)
+    for k in range(1, n + 1):
+        cx, cy = compound(X, k), compound(Y, k)
+        wx, wy = np.linalg.eigvalsh(cx), np.linalg.eigvalsh(cy)
+        if k == 1:
+            kappa = (wx[..., -1] / pymax(wx[..., 0], eps * wx[..., -1])
+                     + wy[..., -1] / pymax(wy[..., 0], eps * wy[..., -1]))
+            det_tol = pymax(tol, 64.0 * n * eps * kappa)
+        ok &= ~(wx[..., -1] > wy[..., -1] * (1.0 + (det_tol if k == n else tol)))
+    det_x, det_y = cx.real[..., 0, 0], cy.real[..., 0, 0]
+    return ok & ~(np.abs(det_x - det_y) > det_tol * pymax(np.abs(det_x), np.abs(det_y)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_grouped_oracle_matches_cross_check_link_by_link(n, monkeypatch):
+    k = 6
+    rng = np.random.default_rng(n)
+    X = np.stack([sample_pd(n, s, 10.0) for s in range(k)])
+    Q = np.stack([pd_compose(rng.standard_normal((n, n)) + 0j, np.ones(n)) for _ in range(k)])
+    similar = hermitize(Q @ X @ ct(Q))     # same spectra as X: the order holds both ways
+    Y = np.stack([sample_pd(n, 100 + s, 10.0) for s in range(k)])
+    links = [(rng.random(k) < 0.5, lo, hi)
+             for lo, hi in ((X, similar), (similar, X), (X, Y), (Y, X), (X, X), (Y, similar))]
+    calls = []
+    monkeypatch.setattr(suite, "_compound_spectra",
+                        lambda M: calls.append(M) or _compound_spectra(M))
+    for tol in (1e-8, 1e-14, 1e-16):
+        calls.clear()
+        tally = OracleTally()
+        suite._oracle(tally, links, tol)
+        assert len(calls) == 3               # once per distinct stack
+        mismatches = 0
+        for ok, lo, hi in links:
+            want = compound_cross_check(lo, hi, tol)
+            assert np.array_equal(want, reference_cross_check(lo, hi, tol))
+            got = _compound_order(_compound_spectra(lo), _compound_spectra(hi), tol)
+            assert got.dtype == bool and np.array_equal(got, want)
+            for i in range(k):
+                assert want[i] == compound_cross_check(lo[i], hi[i], tol)
+            mismatches += int(np.count_nonzero(want != ok))
+        assert (tally.comparisons, tally.mismatches) == (k * len(links), mismatches)
+    assert all(compound_cross_check(X, similar)) and all(compound_cross_check(X, X))
+    assert n == 1 or not all(compound_cross_check(X, Y))
+
+
+def finish(check_id: str, detail: dict, tol: float) -> CheckOutcome:
+    """One row's outcome as the per-row code made it: the builtin ``min`` of
+    its margins, a margin X folded with X_defect as min(X, -abs(X_defect))."""
+    margins = [
+        v if (d := detail.get(f"{key}_defect")) is None else min(v, -abs(d))
+        for key, v in detail.items()
+        if key not in suite._NOT_MARGINS and not key.endswith("_defect")
+    ]
+    worst = float(min(margins))
+    return CheckOutcome(check_id=check_id, verdict=bool(worst >= -tol),
+                        worst_margin=worst, detail=detail)
+
+
+def test_group_fold_matches_per_row_min():
+    nan, inf = math.nan, math.inf
+    values = [nan, -0.0, 0.0, -1e-9, 1e-9, -2e-8, -inf, 3.0, -3.0]
+    rng = np.random.default_rng(4)
+    columns = {"t": rng.choice(values, 400), "a": rng.choice(values, 400),
+               "a_defect": rng.choice(values, 400), "b": rng.choice(values, 400),
+               "final_err": rng.choice(values, 400), "c": rng.choice(values, 400),
+               "c_defect": rng.choice(values, 400)}
+    for keys in (["a", "a_defect"], ["t", "b", "a", "a_defect", "c", "c_defect", "final_err"],
+                 ["c_defect", "b", "c", "a_defect", "a"]):
+        cols = {key: columns[key] for key in keys}
+        got = suite._outcomes("x", 1e-8, cols)
+        rows = [dict(zip(keys, row)) for row in zip(*(cols[key].tolist() for key in keys))]
+        assert len(got) == len(rows)
+        for g, row in zip(got, rows):
+            want = finish("x", row, 1e-8)
+            assert g.verdict is want.verdict
+            assert same_float(g.worst_margin, want.worst_margin) and type(g.worst_margin) is float
+            assert list(g.detail) == keys
+            assert all(same_float(g.detail[key], row[key]) for key in keys)

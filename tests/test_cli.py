@@ -189,6 +189,28 @@ class TestVerifyCommand:
         assert "seed" in capsys.readouterr().err
         assert not csv_path.exists() and not json_path.exists()
 
+    @pytest.mark.parametrize("data", [
+        {"trials": "7"}, {"spread": "10"}, {"dims": [2, "6"]}, {"trials": 1.5, "limit_trials": 1},
+        {"trials": 1, "s_at_bound": "no"}, {"trials": 1, "t_grid": 0.5}, {"trials": 1, "tol": None},
+    ])
+    def test_bad_config_field_type_exits_2_without_report(self, tmp_path, capsys, data):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        csv_path, json_path = tmp_path / "x.csv", tmp_path / "x.json"
+        code = cli.main(["verify", "--config", str(cfg_path),
+                         "--out-csv", str(csv_path), "--out-json", str(json_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field") and "Traceback" not in err
+        assert not csv_path.exists() and not json_path.exists()
+
+    @pytest.mark.parametrize("dims", ["2", "2,3,4"])
+    def test_bad_dims_flag_exits_2_without_report(self, tmp_path, capsys, dims):
+        code, csv_path, json_path = self.run_verify(tmp_path, "d", extra=("--dims", dims))
+        assert code == 2
+        assert "dims" in capsys.readouterr().err
+        assert not (tmp_path / "report_d.csv").exists()
+
     def test_negative_seed_flag_exits_2_without_report(self, tmp_path, capsys):
         code, csv_path, json_path = self.run_verify(tmp_path, "f", extra=("--seed", "-1"))
         assert code == 2

@@ -1,7 +1,9 @@
 """Bulk seeding: the generator states computed for many seeds at once are
 bitwise those of numpy's ``SeedSequence`` and ``default_rng``, and
 ``run_suite`` hands every check the draws that per-trial and per-matrix
-generators would make."""
+generators would make; the draws written as the arithmetic numpy performs
+(62-bit matrix seeds, scalar uniforms, a stack's eigenvalue draws) are
+bitwise numpy's."""
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spdmeans import OracleTally, SuiteConfig, sample_pd
-from spdmeans.linalg import generators, pd_compose, rng_keys, seed_hash, seed_words
-from spdmeans.suite import _REGISTRY, CheckOutcome, _run_trials
+from spdmeans.linalg import generators, pd_compose, pd_draws, rng_keys, seed_hash, seed_words
+from spdmeans.suite import _REGISTRY, CheckOutcome, _draw_seed, _run_trials, _uniform
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**62 - 1, 2**64, 2**130]
 
@@ -140,3 +142,48 @@ def test_run_trials_hands_checks_the_reference_draws(idx, n, seed):
     assert list(seen[0]) == list(ref)
     for key in ref:
         assert bitwise_equal(seen[0][key], ref[key]), key
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_pd_draws_match_default_rng_per_matrix(n):
+    # one stack with a spread per row, spread 1 giving the unit spectrum
+    seeds = [0, 1, 7, 2**32, 2**62 - 1, 12345678901234567890]
+    spreads = [1.0, 10.0, 100.0, 1e6, 10.0, 1e6]
+    Z, lam = pd_draws(n, rng_keys(seeds), spreads)
+    for i, (seed, spread) in enumerate(zip(seeds, spreads)):
+        ref_Z, ref_lam = reference_pd(n, seed, spread)
+        assert bitwise_equal(Z[i], ref_Z) and bitwise_equal(lam[i], ref_lam), (seed, spread)
+    assert np.all(lam[0] == 1.0)
+
+
+def buffered(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """Two generators in the same state, holding a buffered 32-bit half."""
+    rng = np.random.default_rng(seed)
+    rng.integers(7)                      # a range below 2**32 draws a 32-bit half
+    assert rng.bit_generator.state["has_uint32"] == 1
+    twin = np.random.default_rng()
+    twin.bit_generator.state = rng.bit_generator.state
+    return rng, twin
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_draw_seed_is_integers_below_2_62(seed):
+    for fresh in (True, False):
+        rng, ref = ((np.random.default_rng(seed), np.random.default_rng(seed)) if fresh
+                    else buffered(seed))
+        for _ in range(50):
+            got, want = _draw_seed(rng), ref.integers(0, 2**62)
+            assert type(got) is int and got == want
+        # the draws leave the generator, buffered half included, as integers does
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scalar_uniform_is_numpy_uniform(seed):
+    bounds = [(0.05, 0.9), (0.05, 2.0), (0.0, 1.0), (-3.5, 1e-3), (1e-300, 1e300)]
+    for rng, ref in ((np.random.default_rng(seed), np.random.default_rng(seed)), buffered(seed)):
+        for _ in range(40):
+            for lo, hi in bounds:
+                got, want = _uniform(rng, lo, hi), ref.uniform(lo, hi)
+                assert type(got) is float and got.hex() == want.hex()
+        assert rng.bit_generator.state == ref.bit_generator.state

@@ -1,6 +1,7 @@
 """Tests for the theorem-check battery and the suite driver."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -404,6 +405,37 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             SuiteConfig(s_grid=(0.5, 2.5)).validate()
         SuiteConfig(s_grid=(0.5, 2.5), force_out_of_range=True).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", "7"), ("trials", 1.5), ("trials", True), ("limit_trials", 2.0),
+        ("dims", (2, "6")), ("dims", (2,)), ("dims", (2, 3, 4)), ("dims", 5), ("dims", (2.0, 6)),
+        ("p_min_exp", 3.0), ("p_min_exp", None),
+        ("spread", "10"), ("spread", False), ("spread", math.nan), ("tol", None),
+        ("tol", math.inf), ("psd_tol", "1e-9"), ("t_grid", (0.5, math.nan)),
+        ("limit_err_threshold", True), ("limit_floor", [1e-8]),
+        ("t_grid", 0.5), ("t_grid", "0.5"), ("t_grid", (0.5, "1")), ("r_grid", (1.0, True)),
+        ("s_grid", None), ("s_at_bound", 1), ("force_out_of_range", "yes"),
+    ])
+    def test_every_field_is_type_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SuiteConfig(**{field: value}).validate()
+        with pytest.raises(ValueError, match=field):
+            SuiteConfig.from_dict({field: list(value) if isinstance(value, tuple) else value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("t_grid", ()), ("r_grid", ()), ("limit_err_threshold", 0.0),
+        ("limit_err_threshold", -1e-2), ("limit_floor", 0.0), ("limit_floor", -1.0),
+    ])
+    def test_ranges_that_would_break_a_run_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match="grid|threshold"):
+            SuiteConfig(**{field: value}).validate()
+
+    def test_field_types_admit_numbers_and_lists(self):
+        cfg = SuiteConfig.from_dict({"trials": 2, "limit_trials": 1, "dims": [2, 3], "spread": 10,
+                                     "tol": 1, "t_grid": [0, 0.5, 1], "r_grid": [2],
+                                     "s_at_bound": False})
+        assert cfg.dims == (2, 3) and cfg.t_grid == (0, 0.5, 1)
+        SuiteConfig(trials=np.int64(3), spread=np.float64(10.0), t_grid=[0.5]).validate()
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None])
     def test_seed_must_be_a_nonnegative_int(self, seed):
