@@ -98,7 +98,18 @@ MONOTONE_COUNTEREXAMPLE = {
     "printed_diff_eigs": np.array([-0.0213, 29.1098]),
 }
 
-EXPECTED_FALSE = ("counterexample_natlog", "counterexample_monotone")
+# What each fixture must reproduce: its delta entries, each with a label
+# and a tolerance.  These are the checks whose expected verdict is false.
+REPRODUCTION = {
+    "counterexample_natlog": (("delta_spectrum_sandwich", "spectrum (sandwich)", SPECTRUM_TOL),
+                              ("delta_spectrum_mean", "spectrum (mean)", SPECTRUM_TOL),
+                              ("delta_entries_sandwich", "entries (sandwich)", ENTRY_TOL),
+                              ("delta_entries_mean", "entries (mean)", ENTRY_TOL)),
+    "counterexample_monotone": (("delta_entries_mean_b1", "entries (mean with B1)", ENTRY_TOL),
+                                ("delta_entries_mean_b2", "entries (mean with B2)", ENTRY_TOL),
+                                ("delta_diff_eigs", "difference eigenvalues", EIG_TOL)),
+}
+EXPECTED_FALSE = tuple(REPRODUCTION)
 
 
 @dataclass
@@ -182,6 +193,9 @@ class SuiteConfig:
                 "s grid exceeds the bound min(1/t, 2); "
                 "set force_out_of_range to run anyway"
             )
+        if bare := [t for t in self.t_grid if not _s_choices(self, t)]:
+            raise ValueError(f"s_grid has no exponent up to the provable bound 1/max(t, 1-t) "
+                             f"for t={bare[0]:g}; set s_at_bound or force_out_of_range")
         if self.spread < 1.0:
             raise ValueError("spread must be >= 1")
         if min(self.tol, self.psd_tol, self.limit_err_threshold, self.limit_floor) <= 0:
@@ -225,12 +239,15 @@ def _logmaj(cols: dict, name: str, lo, hi, tol: float) -> np.ndarray:
     return ok
 
 
-def _oracle(tally: OracleTally, links, tol: float) -> None:
+def _oracle(tally: OracleTally | None, A, tol: float, links: Callable) -> None:
     """Feed a group's log-majorization verdicts through the compound
-    oracle.  ``links`` holds ``(verdicts, dominated, dominant)`` stacks;
-    the compounds of each distinct stack are computed once."""
+    oracle when tallied and n <= 4.  ``links()`` gives the
+    ``(verdicts, dominated, dominant)`` stacks; the compounds of each
+    distinct stack are computed once."""
+    if tally is None or A.shape[-1] > 4:
+        return
     spectra = {}
-    for ok, *pair in links:
+    for ok, *pair in links():
         for M in pair:
             if id(M) not in spectra:
                 spectra[id(M)] = _compound_spectra(M)
@@ -280,10 +297,6 @@ def _col(*values) -> list[np.ndarray]:
     return [np.array([float(v)]) for v in values]
 
 
-def _small(tally, A) -> bool:
-    return tally is not None and A.shape[-1] <= 4
-
-
 # --------------------------------------------------------------------------
 # power inequalities for the two means
 # --------------------------------------------------------------------------
@@ -311,20 +324,16 @@ def _power_order(check_id, factor, reverse, A, B, t, r, tol, tally):
     log_p = np.where((p == 1.0)[:, None], log_base, log_pow) / p[:, None]
     ok_mono = _logmaj(cols, "exponent_monotone", *((log_q, log_p) if reverse else (log_p, log_q)), tol)
 
-    if _small(tally, A):
+    def links():
         base, powered = gram(F_base), gram(F_pow)
-        eig_base, eig_pow = _pd_eigh(base), _pd_eigh(powered)
-        base_r = power_from_eig(*eig_base, r)
-        m = low[:, :, None]
-
-        def root(mask, e):
-            w = np.where(mask[:, None], eig_base[0], eig_pow[0])
-            U = np.where(mask[:, None, None], eig_base[1], eig_pow[1])
-            return power_from_eig(w, U, 1.0 / e)
-
-        mq, mp = root(q == 1.0, q), root(p == 1.0, p)
-        _oracle(tally, [(ok_order, np.where(m, powered, base_r), np.where(m, base_r, powered)),
-                        (ok_mono, *((mq, mp) if reverse else (mp, mq)))], tol)
+        eig_base = _pd_eigh(base)
+        base_r, m = power_from_eig(*eig_base, r), low[:, :, None]
+        # of q and p one is 1, giving base^1, and the other r, giving powered^(1/r)
+        one, root = power_from_eig(*eig_base, 1.0), power_from_eig(*_pd_eigh(powered), 1.0 / r)
+        mq, mp = (np.where(x[:, None, None], root, one) for x in (r < 1.0, r > 1.0))
+        return [(ok_order, np.where(m, powered, base_r), np.where(m, base_r, powered)),
+                (ok_mono, *((mq, mp) if reverse else (mp, mq)))]
+    _oracle(tally, A, tol, links)
     return _outcomes(check_id, tol, cols)
 
 
@@ -372,6 +381,11 @@ def s_provable_bound(t: float) -> float:
     return 1.0 / max(t, 1.0 - t)
 
 
+def _beyond_bound(t: float, s: float) -> bool:
+    """Whether s exceeds the provable bound at t, beyond the rounding of a grid value on it."""
+    return s > s_provable_bound(t) + 1e-12
+
+
 def _natlog(A, B, t, s, tol, tally):
     a, b = spd(A), spd(B)
     F_mid = power_from_eig(b.w, b.U, t * s / 2.0) @ power_from_eig(a.w, a.U, (1.0 - t) * s / 2.0)
@@ -379,8 +393,7 @@ def _natlog(A, B, t, s, tol, tally):
     cols = {"t": t, "s": s}
     ok = _logmaj(cols, "sandwich_vs_mean", np.log(spectrum_of_factor(F_mid)) / s[:, None],
                  np.log(spectrum_of_factor(F_nat)), tol)
-    if _small(tally, A):
-        _oracle(tally, [(ok, _power(gram(F_mid), 1.0 / s), gram(F_nat))], tol)
+    _oracle(tally, A, tol, lambda: [(ok, _power(gram(F_mid), 1.0 / s), gram(F_nat))])
     return _outcomes("natlog_order", tol, cols)
 
 
@@ -415,14 +428,16 @@ def _chain(A, B, t, tol, tally):
     logs = {k: np.log(spectrum_of_factor(f)) for k, f in F.items()}
     logs["logeuclid"] = log_le
 
-    cols, links = {"t": t}, []
+    cols, order = {"t": t}, []
     for lo, hi in (("metric", "logeuclid"), ("logeuclid", "sandwich"),
                    ("sandwich", "spectral"), ("metric", "spectral")):
-        links.append((_logmaj(cols, f"{lo}_vs_{hi}", logs[lo], logs[hi], tol), lo, hi))
-    if _small(tally, A):
+        order.append((_logmaj(cols, f"{lo}_vs_{hi}", logs[lo], logs[hi], tol), lo, hi))
+
+    def links():
         mats = {k: gram(f) for k, f in F.items()}
         mats["logeuclid"] = from_eig(U_le, np.exp(log_le))
-        _oracle(tally, [(ok, mats[lo], mats[hi]) for ok, lo, hi in links], tol)
+        return [(ok, mats[lo], mats[hi]) for ok, lo, hi in order]
+    _oracle(tally, A, tol, links)
     return _outcomes("chain_order", tol, cols)
 
 
@@ -518,7 +533,7 @@ def _limit(family, A, B, t, p_grid, tol, err_threshold, floor, tally):
         F, member = limit_member(family, A, B, t, p)
         errs.append(spectral_norm(member - target))
         specs.append(np.log(spectrum_of_factor(F)) / p)
-        mats.append(member if _small(tally, A) else None)
+        mats.append(member)
     cols = {"t": t, "final_err": errs[-1],
             "final_err_margin": (err_threshold - errs[-1]) / err_threshold}
 
@@ -540,8 +555,7 @@ def _limit(family, A, B, t, p_grid, tol, err_threshold, floor, tally):
             (np.sum(lam_hi[:, : k + 1], axis=-1) - np.sum(lam_lo[:, : k + 1], axis=-1)) / kf_scale
             for k in range(n)
         ])
-    if _small(tally, A):
-        _oracle(tally, [(ok, mats[i + 1], mats[i]) for i, ok in enumerate(oks)], tol)
+    _oracle(tally, A, tol, lambda: [(ok, mats[i + 1], mats[i]) for i, ok in enumerate(oks)])
 
     if family == "sandwich":   # bounded above by exp(A) nat_t exp(B)
         upper = np.log(spectrum_of_factor(_exp_spectral_factor(A, B, t, 1.0)))
@@ -624,8 +638,7 @@ def _lambda1(A, B, s, tol, tally):
     log_y = s[:, None] * np.log(spectrum_of_factor(Fy))
     cols = {"s": s, "lambda1": log_y[:, 0] - log_x[:, 0]}
     ok = _logmaj(cols, "product_power", log_x, log_y, tol)
-    if _small(tally, A):
-        _oracle(tally, [(ok, gram(Fx), _power(gram(Fy), s))], tol)
+    _oracle(tally, A, tol, lambda: [(ok, gram(Fx), _power(gram(Fy), s))])
     return _outcomes("lambda1_power_order", tol, cols)
 
 
@@ -735,6 +748,10 @@ def _delta(X, reference) -> float:
     return float(np.max(np.abs(X - reference)))
 
 
+def _reproduced(check_id: str, detail: dict) -> bool:
+    return all(detail[key] <= tol for key, _, tol in REPRODUCTION[check_id])
+
+
 def check_natlog_counterexample(
     tol: float = 1e-9, tally: OracleTally | None = None
 ) -> CheckOutcome:
@@ -755,9 +772,7 @@ def check_natlog_counterexample(
     d["delta_spectrum_mean"] = _delta(np.linalg.eigvalsh(nat)[::-1], ce["printed_mean_spectrum"])
     d["delta_entries_sandwich"] = _delta(sandwich, ce["printed_sandwich"])
     d["delta_entries_mean"] = _delta(nat, ce["printed_mean"])
-    d["reproduction_ok"] = float(
-        max(d["delta_spectrum_sandwich"], d["delta_spectrum_mean"]) <= SPECTRUM_TOL
-        and max(d["delta_entries_sandwich"], d["delta_entries_mean"]) <= ENTRY_TOL)
+    d["reproduction_ok"] = float(_reproduced(out.check_id, d))
     return out
 
 
@@ -777,9 +792,7 @@ def check_spectral_not_monotone(psd_tol: float = 1e-9) -> CheckOutcome:
               "delta_entries_mean_b2": _delta(N2, ce["printed_mean_b2"]),
               "delta_diff_eigs": _delta(eigs, np.sort(ce["printed_diff_eigs"]))}
     detail["reproduction_ok"] = float(
-        detail["b1_ge_b2"] >= -psd_tol
-        and max(detail["delta_entries_mean_b1"], detail["delta_entries_mean_b2"]) <= ENTRY_TOL
-        and detail["delta_diff_eigs"] <= EIG_TOL)
+        detail["b1_ge_b2"] >= -psd_tol and _reproduced("counterexample_monotone", detail))
     return CheckOutcome(
         check_id="counterexample_monotone",
         verdict=bool(margin >= -psd_tol),
@@ -856,20 +869,24 @@ def _trial_power(cfg, rng, n):
     return {"t": t, "r": r, **_draw_pair(rng, n, _capped_spread(cfg.spread, r))}
 
 
-def _trial_natlog(cfg, rng, n):
-    # The ensemble draws s up to the provable bound 1/max(t, 1-t); the
-    # wider documented gate min(1/t, 2) is refuted for t < 1/2 (see the
-    # refutation fixture in the tests), so drawing there would assert a
-    # false statement.  Out-of-gate values only appear with the force flag
-    # and are reported as informational rows.
-    t = _draw(cfg.t_grid, rng)
-    bound = s_provable_bound(t)
-    choices = [s for s in cfg.s_grid if s <= bound + 1e-12]
+def _s_choices(cfg, t: float) -> list[float]:
+    """The exponents a natlog trial at weight t draws from, in order: the
+    s grid up to the provable bound 1/max(t, 1-t), the bound itself with
+    ``s_at_bound``, and only with ``force_out_of_range`` the grid values
+    beyond it, whose rows are informational.  The wider documented gate
+    min(1/t, 2) is refuted for t < 1/2 (see the refutation fixture in the
+    tests), so drawing there would assert a false statement."""
+    choices = [s for s in cfg.s_grid if not _beyond_bound(t, s)]
     if cfg.s_at_bound:
-        choices.append(bound)
+        choices.append(s_provable_bound(t))
     if cfg.force_out_of_range:
-        choices.extend(s for s in cfg.s_grid if s > bound + 1e-12)
-    s = _draw(choices, rng)
+        choices.extend(s for s in cfg.s_grid if _beyond_bound(t, s))
+    return choices
+
+
+def _trial_natlog(cfg, rng, n):
+    t = _draw(cfg.t_grid, rng)
+    s = _draw(_s_choices(cfg, t), rng)
     return {"t": t, "s": s, **_draw_pair(rng, n, _capped_spread(cfg.spread, s))}
 
 
@@ -928,7 +945,7 @@ def _shrunk(X: np.ndarray, P: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _run_natlog(cfg, tally, d):
     outs = _natlog(d["A"], d["B"], d["t"], d["s"], cfg.tol, tally)
     for out, t, s in zip(outs, d["t"].tolist(), d["s"].tolist()):
-        if s > s_provable_bound(t) + 1e-12:
+        if _beyond_bound(t, s):
             out.detail["out_of_range"] = 1.0
     return outs
 
@@ -943,14 +960,14 @@ def _run_exponential(evaluate):
 
 
 def _run_loewner_monotone(cfg, tally, d):
-    d["C"] = _shrunk(d["A"], d["C_perturbation"], d["C_scale"])
-    d["D"] = _shrunk(d["B"], d["D_perturbation"], d["D_scale"])
+    d["C"] = _shrunk(d["A"], d.pop("C_perturbation"), d.pop("C_scale"))
+    d["D"] = _shrunk(d["B"], d.pop("D_perturbation"), d.pop("D_scale"))
     return _loewner_monotone(d["A"], d["B"], d["C"], d["D"], d["t"], cfg.psd_tol)
 
 
 def _run_heinz(cfg, tally, d):
-    P = d["perturbation"]
-    d["A"] = d["B"] + P * (d["scale"][:, None, None] / _top(P))
+    P = d.pop("perturbation")
+    d["A"] = d["B"] + P * (d.pop("scale")[:, None, None] / _top(P))
     return _heinz(d["A"], d["B"], d["r"], cfg.psd_tol)
 
 
@@ -966,71 +983,70 @@ def _limit_options(cfg: SuiteConfig) -> dict:
 
 
 class _Check(NamedTuple):
-    """One entry of the battery: the draws of one trial, the inputs kept
-    as the witness of a failing trial, the evaluation of one group of
-    trials (a dict of stacked draws, completed in place with any derived
-    inputs), the fixed-input rows, and the config field with the trial
-    count."""
+    """One entry of the battery: the draws of one trial, the evaluation of
+    one group of trials, the fixed-input rows, and the config field with
+    the trial count.  ``run`` gets a dict of stacked draws and leaves in
+    it exactly the inputs it evaluated: it adds the derived ones and pops
+    the raw draws it consumed.  That dict is the witness of a failing
+    trial."""
 
     check_id: str
     draw: Callable
-    witness: tuple[str, ...]
     run: Callable
     fixed: Callable
     trials: str = "trials"
 
 
 _REGISTRY = (
-    _Check("means_identities", _trial_identities, ("A", "B", "t", "r", "s"),
+    _Check("means_identities", _trial_identities,
            lambda cfg, tally, d: _means_identities(
                d["A"], d["B"], d["t"], d["r"], d["s"], d["alpha"], d["beta"], cfg.tol),
            lambda cfg, tally: [check_means_identities(_DIAG_A, _DIAG_B, 0.5, tol=cfg.tol)]),
-    _Check("similarity_witness", _trial_pair, ("A", "B", "t"),
+    _Check("similarity_witness", _trial_pair,
            lambda cfg, tally, d: _similarity(d["A"], d["B"], d["t"], cfg.tol),
            lambda cfg, tally: [check_similarity(
                np.diag([2.0, 1.0]), np.diag([2.0, 1.0]), 0.3, tol=cfg.tol)]),
-    _Check("geometric_power_order", _trial_power, ("A", "B", "t", "r"),
+    _Check("geometric_power_order", _trial_power,
            lambda cfg, tally, d: _power_order("geometric_power_order", _metric_factor, False,
                                               d["A"], d["B"], d["t"], d["r"], cfg.tol, tally),
            lambda cfg, tally: [check_geometric_power(
                _DIAG_A, _DIAG_B, 0.4, 2.0, tol=cfg.tol, tally=tally)]),
-    _Check("spectral_power_order", _trial_power, ("A", "B", "t", "r"),
+    _Check("spectral_power_order", _trial_power,
            lambda cfg, tally, d: _power_order("spectral_power_order", _nat_factor, True,
                                               d["A"], d["B"], d["t"], d["r"], cfg.tol, tally),
            lambda cfg, tally: [check_spectral_power(
                _DIAG_A, _DIAG_B, 0.4, 2.0, tol=cfg.tol, tally=tally)]),
-    _Check("natlog_order", _trial_natlog, ("A", "B", "t", "s"), _run_natlog,
+    _Check("natlog_order", _trial_natlog, _run_natlog,
            lambda cfg, tally: [check_natlog(_DIAG_A, _DIAG_B, 0.5, 1.0, tol=cfg.tol, tally=tally)]),
-    _Check("chain_order", partial(_trial_pair, power=1.0), ("A", "B", "t"),
+    _Check("chain_order", partial(_trial_pair, power=1.0),
            lambda cfg, tally, d: _chain(d["A"], d["B"], d["t"], cfg.tol, tally),
            lambda cfg, tally: [check_chain(_DIAG_A, _DIAG_A, 0.7, tol=cfg.tol, tally=tally),
                                check_chain(_DIAG_A, _DIAG_B, 0.0, tol=cfg.tol, tally=tally)]),
-    _Check("trace_descent", _trial_pair, ("A", "B", "t"),
+    _Check("trace_descent", _trial_pair,
            _run_exponential(lambda A, B, t, p_grid, tol, *_: _trace(A, B, t, p_grid, tol)),
            lambda cfg, tally: [check_trace_corollary(
                np.zeros((2, 2)), np.zeros((2, 2)), 0.5, dyadic_grid(cfg.p_min_exp), tol=cfg.tol)],
            "limit_trials"),
-    _Check("limit_spectral", _trial_pair, ("A", "B", "t"), _run_exponential(partial(_limit, "spectral")),
+    _Check("limit_spectral", _trial_pair, _run_exponential(partial(_limit, "spectral")),
            lambda cfg, tally: [check_limit_spectral(
                _HERM_A, _HERM_A, 0.5, tally=tally, **_limit_options(cfg))],
            "limit_trials"),
-    _Check("limit_sandwich", _trial_pair, ("A", "B", "t"), _run_exponential(partial(_limit, "sandwich")),
+    _Check("limit_sandwich", _trial_pair, _run_exponential(partial(_limit, "sandwich")),
            lambda cfg, tally: [check_limit_sandwich(
                _HERM_A, _HERM_B, 0.0, tally=tally, **_limit_options(cfg))],
            "limit_trials"),
-    _Check("loewner_monotone_metric", _trial_loewner_monotone, ("A", "B", "C", "D", "t"),
-           _run_loewner_monotone,
+    _Check("loewner_monotone_metric", _trial_loewner_monotone, _run_loewner_monotone,
            lambda cfg, tally: [
                check_loewner_monotone_geometric(
                    _DIAG_A, _DIAG_B, _DIAG_A, _DIAG_B, 0.5, psd_tol=cfg.psd_tol),
                check_loewner_monotone_geometric(
                    np.array([[4.0]]), np.array([[9.0]]),
                    np.array([[1.0]]), np.array([[1.0]]), 0.5, psd_tol=cfg.psd_tol)]),
-    _Check("loewner_heinz", _trial_heinz, ("A", "B", "r"), _run_heinz,
+    _Check("loewner_heinz", _trial_heinz, _run_heinz,
            lambda cfg, tally: [
                check_loewner_heinz(_DIAG_A + np.eye(2), _DIAG_A, r, psd_tol=cfg.psd_tol)
                for r in (1.0, 0.0)]),
-    _Check("lambda1_power_order", _trial_lambda1, ("A", "B", "s"),
+    _Check("lambda1_power_order", _trial_lambda1,
            lambda cfg, tally, d: _lambda1(d["A"], d["B"], d["s"], cfg.tol, tally),
            lambda cfg, tally: [check_lambda1(_DIAG_A, _DIAG_B, s, tol=cfg.tol, tally=tally)
                                for s in (1.0, 0.0)]),
@@ -1068,9 +1084,9 @@ def _run_trials(cfg: SuiteConfig, idx: int, check: _Check, tally: OracleTally):
         d = {key: _stack([draws[k][key] for k in rows]) for key in draws[rows[0]]}
         for i, (k, out) in enumerate(zip(rows, check.run(cfg, tally, d))):
             out.trial, out.seed = k, seeds[k]
-            if not out.verdict:
-                out.witness = {key: d[key][i].copy() if d[key].ndim > 1 else float(d[key][i])
-                               for key in check.witness}
+            if not out.verdict:             # matrices in key order, then scalars in draw order
+                out.witness = {**{key: d[key][i].copy() for key in sorted(d) if d[key].ndim > 1},
+                               **{key: float(d[key][i]) for key in d if d[key].ndim == 1}}
             yield out
 
 

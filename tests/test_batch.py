@@ -173,7 +173,7 @@ def test_grouped_oracle_matches_cross_check_link_by_link(n, monkeypatch):
     for tol in (1e-8, 1e-14, 1e-16):
         calls.clear()
         tally = OracleTally()
-        suite._oracle(tally, links, tol)
+        suite._oracle(tally, X, tol, lambda: links)
         assert len(calls) == 3               # once per distinct stack
         mismatches = 0
         for ok, lo, hi in links:

@@ -158,6 +158,41 @@ class TestVerifyCommand:
         code, *_ = self.run_verify(tmp_path, "d", extra=("--s", "0.5,2.1"))
         assert code == 2
 
+    def test_out_prefix_writes_both_reports(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        args = ["verify", "--trials", "3", "--limit-trials", "1", "--seed", "4"]
+        assert cli.main([*args, "--out", str(a / "P")]) == 0
+        assert cli.main([*args, "--out-csv", str(b / "P.csv"),
+                         "--out-json", str(b / "P.json")]) == 0
+        for name in ("P.csv", "P.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_force_flag_overrides_config_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"trials": 2, "limit_trials": 1, "s_grid": [0.5, 2.5],
+                                        "force_out_of_range": False}))
+        json_path = tmp_path / "x.json"
+        args = ["verify", "--config", str(cfg_path),
+                "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(json_path)]
+        assert cli.main(args) == 2 and not json_path.exists()
+        assert cli.main([*args, "--force-out-of-range"]) == 0
+        assert json.loads(json_path.read_text())["config"]["force_out_of_range"] is True
+
+    @pytest.mark.parametrize("trials", [2, 0])
+    def test_s_grid_without_exponent_for_a_weight_exits_2_without_report(
+            self, tmp_path, capsys, trials):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"trials": trials, "limit_trials": 1, "s_grid": [1.9],
+                                        "s_at_bound": False}))
+        csv_path, json_path = tmp_path / "x.csv", tmp_path / "x.json"
+        code = cli.main(["verify", "--config", str(cfg_path),
+                         "--out-csv", str(csv_path), "--out-json", str(json_path)])
+        assert code == 2
+        assert "s_grid" in capsys.readouterr().err
+        assert not csv_path.exists() and not json_path.exists()
+
     def test_config_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"trials": 4, "limit_trials": 1, "seed": 9}))
@@ -265,6 +300,14 @@ class TestLimitCommand:
                          "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_negative_p_min_exp_exits_2_without_file(self, tmp_path, capsys):
+        a = write(tmp_path, "a.json", np.diag([0.3, -0.2]))
+        out = tmp_path / "x.csv"
+        code = cli.main(["limit", a, a, "--t", "0.5", "--p-min-exp", "-1", "--out", str(out)])
+        assert code == 2
+        assert "p_min_exp" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCounterexampleCommand:
     def test_natlog_fixture_reproduces(self, capsys):
@@ -274,6 +317,14 @@ class TestCounterexampleCommand:
     def test_monotone_fixture_reproduces(self, capsys):
         assert cli.main(["counterexample", "loewner"]) == 0
         assert "reproduction PASS" in capsys.readouterr().out
+
+    def test_unreproduced_fixture_fails(self, capsys, monkeypatch):
+        ce = NATLOG_COUNTEREXAMPLE
+        monkeypatch.setitem(ce, "printed_mean", ce["printed_mean"] + 1.0)
+        assert cli.main(["counterexample", "remark37"]) == 1
+        out = capsys.readouterr().out
+        assert "entries (mean): 1.000e+00 (tolerance 0.001) FAIL" in out
+        assert out.endswith("reproduction FAIL\n")
 
     def test_unknown_name_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

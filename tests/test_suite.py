@@ -1,7 +1,9 @@
 """Tests for the theorem-check battery and the suite driver."""
 
 import dataclasses
+import inspect
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,8 +32,11 @@ from spdmeans import (
 )
 from spdmeans.errors import PreconditionNotMet, SOutOfRange
 from spdmeans.suite import (
+    _REGISTRY,
     MONOTONE_COUNTEREXAMPLE,
     NATLOG_COUNTEREXAMPLE,
+    REPRODUCTION,
+    _run_trials,
     dyadic_grid,
     s_bound,
     s_provable_bound,
@@ -350,6 +355,12 @@ class TestCounterexampleChecks:
         assert out.detail["delta_entries_mean_b1"] <= 1e-3
         assert N1.shape == (2, 2)
 
+    @pytest.mark.parametrize("check", [check_natlog_counterexample, check_spectral_not_monotone])
+    def test_reproduction_table_lists_every_delta(self, check):
+        out = check()
+        deltas = [key for key in out.detail if key.startswith("delta_")]
+        assert [key for key, _, _ in REPRODUCTION[out.check_id]] == deltas
+
 
 class TestRunSuite:
     def test_zero_trials_runs_only_fixed_rows(self):
@@ -430,6 +441,15 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="grid|threshold"):
             SuiteConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("trials", [2, 0])
+    def test_s_grid_leaving_a_weight_without_exponent_is_rejected(self, trials):
+        # t = 0.25 has the provable bound 4/3, below every value of the grid
+        data = {"trials": trials, "limit_trials": 1, "s_grid": [1.9], "s_at_bound": False}
+        with pytest.raises(ValueError, match="s_grid"):
+            SuiteConfig.from_dict(data)
+        for fix in ({"s_at_bound": True}, {"force_out_of_range": True}, {"t_grid": [0.0, 0.5]}):
+            SuiteConfig.from_dict({**data, **fix})
+
     def test_field_types_admit_numbers_and_lists(self):
         cfg = SuiteConfig.from_dict({"trials": 2, "limit_trials": 1, "dims": [2, 3], "spread": 10,
                                      "tol": 1, "t_grid": [0, 0.5, 1], "r_grid": [2],
@@ -463,3 +483,50 @@ class TestRunSuite:
         assert isinstance(out, CheckOutcome)
         assert out.witness is None
         assert isinstance(out.detail, dict)
+
+
+def public_check(check_id: str, cfg: SuiteConfig):
+    """The public function of a battery check with the options the battery
+    evaluates it with; a witness supplies the remaining arguments."""
+    tol = {"tol": cfg.tol}
+    limit = {"p_grid": dyadic_grid(cfg.p_min_exp), **tol}
+    limit_err = {**limit, "err_threshold": cfg.limit_err_threshold, "floor": cfg.limit_floor}
+    return {
+        "means_identities": partial(check_means_identities, **tol),
+        "similarity_witness": partial(check_similarity, **tol),
+        "geometric_power_order": partial(check_geometric_power, **tol),
+        "spectral_power_order": partial(check_spectral_power, **tol),
+        "natlog_order": partial(check_natlog, **tol, force=True),
+        "chain_order": partial(check_chain, **tol),
+        "trace_descent": partial(check_trace_corollary, **limit),
+        "limit_spectral": partial(check_limit_spectral, **limit_err),
+        "limit_sandwich": partial(check_limit_sandwich, **limit_err),
+        "loewner_monotone_metric": partial(check_loewner_monotone_geometric, psd_tol=cfg.psd_tol),
+        "loewner_heinz": partial(check_loewner_heinz, psd_tol=cfg.psd_tol),
+        "lambda1_power_order": partial(check_lambda1, **tol),
+    }[check_id]
+
+
+@pytest.mark.parametrize("idx", range(len(_REGISTRY)), ids=[c.check_id for c in _REGISTRY])
+def test_witness_replays_its_row(idx):
+    """Every row is marked failing, so every row gets a witness; the
+    witness holds the leading arguments of the public check, in order,
+    and replays the row's worst margin bitwise.  Trial 16 of
+    means_identities has its homogeneity identity, which depends on alpha
+    and beta, as its worst margin."""
+    cfg = SuiteConfig(seed=1, trials=40, limit_trials=8, p_min_exp=6)
+    check = _REGISTRY[idx]
+
+    def failing(cfg, tally, d):
+        outs = check.run(cfg, tally, d)
+        for out in outs:
+            out.verdict = False
+        return outs
+
+    replay = public_check(check.check_id, cfg)
+    params = list(inspect.signature(replay.func).parameters)
+    outs = list(_run_trials(cfg, idx, check._replace(run=failing), OracleTally()))
+    assert len(outs) == getattr(cfg, check.trials)
+    for out in outs:
+        assert list(out.witness) == params[:len(out.witness)]
+        assert replay(**out.witness).worst_margin.hex() == out.worst_margin.hex(), out.trial
