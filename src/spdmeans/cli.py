@@ -25,7 +25,7 @@ import numpy as np
 from . import matrixio
 from .errors import SpdMeansError
 from .linalg import require_hermitian, require_pd, sample_pd, spectral_norm
-from .means import metric_mean, spectral_mean
+from .means import _check_weight, metric_mean, spectral_mean
 from .suite import (
     MONOTONE_COUNTEREXAMPLE,
     NATLOG_COUNTEREXAMPLE,
@@ -143,15 +143,11 @@ def _cmd_verify(args) -> int:
 def _cmd_limit(args) -> int:
     A = _load_hermitian(args.a_file)
     B = _load_hermitian(args.b_file)
-    t = args.t
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    if args.p_min_exp < 0:
-        raise ValueError(f"p_min_exp must be nonnegative, got {args.p_min_exp}")
-    A, B, t = A[None], B[None], np.array([t])
+    A, B, t = A[None], B[None], np.array([_check_weight(args.t, "t")])
+    grid = dyadic_grid(args.p_min_exp)
     target = limit_target(A, B, t)
     rows = []
-    for p in dyadic_grid(args.p_min_exp):
+    for p in grid:
         Xp, Sp = (limit_member(family, A, B, t, p)[1] for family in ("spectral", "sandwich"))
         rows.append((
             p,

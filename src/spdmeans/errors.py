@@ -42,7 +42,7 @@ class NumericBreakdown(SpdMeansError):
 
 
 class SOutOfRange(SpdMeansError):
-    """Exponent s exceeds the admissible bound min(1/t, 2)."""
+    """Exponent s exceeds the provable bound 1/max(t, 1-t)."""
 
 
 class PreconditionNotMet(SpdMeansError):

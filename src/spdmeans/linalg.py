@@ -174,21 +174,16 @@ def power_from_eig(w: np.ndarray, U: np.ndarray, r) -> np.ndarray:
 
 
 def _power(P: np.ndarray, r) -> np.ndarray:
-    if np.all(np.asarray(r) == 0):
-        return np.broadcast_to(np.eye(P.shape[-1], dtype=P.dtype), P.shape).copy()
     return power_from_eig(*_pd_eigh(P), r)
 
 
 def mat_power(P, r: float) -> np.ndarray:
     """Fractional power of a positive definite matrix via eigendecomposition.
 
-    ``mat_power(P, 0)`` is the exact identity; eigenvalues at or below the
-    relative floor raise NonPositiveSpectrum rather than being clamped.
+    ``mat_power(P, 0)`` is the exact identity of a valid P; eigenvalues at or
+    below the relative floor raise NonPositiveSpectrum rather than being clamped.
     """
-    P = require_square(P, "P")
-    if np.any(np.asarray(r) != 0):
-        require_hermitian(P)
-    return _power(P, r)
+    return _power(require_hermitian(P), r)
 
 
 class Spd:

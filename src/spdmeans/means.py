@@ -41,11 +41,11 @@ def _operands(A, B) -> tuple[Spd, Spd]:
     return spd(require_hermitian(A)), spd(require_hermitian(B))
 
 
-def _check_weight(t: float) -> float:
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"weight t must lie in [0, 1], got {t}")
-    return t
+def _check_weight(v: float, name: str = "weight t") -> float:
+    v = float(v)
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {v}")
+    return v
 
 
 def gram(F: np.ndarray) -> np.ndarray:

@@ -74,9 +74,9 @@ SPECTRUM_TOL = 5e-4  # reproduction of 4-decimal reference spectra
 ENTRY_TOL = 1e-3     # reproduction of 4-decimal reference matrices
 EIG_TOL = 5e-3       # reproduction of 4-decimal reference eigenvalues
 
-# Fixtures with published 4-decimal reference values: a (t, s) pair just
-# outside the documented exponent gate min(1/t, 2) where the sandwich
-# power is NOT log-majorized by the spectral mean, and a triple showing
+# Fixtures with published 4-decimal reference values: a (t, s) pair beyond
+# the provable exponent bound 1/max(t, 1-t) where the sandwich power is
+# NOT log-majorized by the spectral mean, and a triple showing
 # the spectral mean is not jointly Loewner-monotone.
 NATLOG_COUNTEREXAMPLE = {
     "t": 1.0 / 3.0,
@@ -180,8 +180,9 @@ class SuiteConfig:
             if not admits(v := getattr(self, f.name)):
                 raise ValueError(f"config field {f.name} must be {kind}, got {v!r}")
         require_seed(self.seed)
-        if min(self.trials, self.limit_trials, self.p_min_exp) < 0:
-            raise ValueError("trial counts and p_min_exp must be nonnegative")
+        if min(self.trials, self.limit_trials) < 0:
+            raise ValueError("trial counts must be nonnegative")
+        dyadic_grid(self.p_min_exp)  # raises outside the range it owns
         if not 1 <= self.dims[0] <= self.dims[1]:
             raise ValueError(f"bad dimension range {self.dims}")
         if not self.t_grid or any(not 0.0 <= t <= 1.0 for t in self.t_grid):
@@ -189,10 +190,8 @@ class SuiteConfig:
         if not self.r_grid or any(v <= 0 for v in (*self.r_grid, *self.s_grid)):
             raise ValueError("r grid must be nonempty; r and s grids must be positive")
         if not self.force_out_of_range and any(s > 2.0 for s in self.s_grid):
-            raise ValueError(
-                "s grid exceeds the bound min(1/t, 2); "
-                "set force_out_of_range to run anyway"
-            )
+            raise ValueError("s grid exceeds 2, the largest provable bound 1/max(t, 1-t); "
+                             "set force_out_of_range to run anyway")
         if bare := [t for t in self.t_grid if not _s_choices(self, t)]:
             raise ValueError(f"s_grid has no exponent up to the provable bound 1/max(t, 1-t) "
                              f"for t={bare[0]:g}; set s_at_bound or force_out_of_range")
@@ -216,7 +215,9 @@ class SuiteConfig:
 
 
 def dyadic_grid(p_min_exp: int) -> tuple[float, ...]:
-    """Decreasing grid 2^0, 2^-1, ..., 2^-p_min_exp."""
+    """Decreasing grid 2^0, ..., 2^-p_min_exp, p_min_exp in [0, 1074] (2^-1075 is 0.0)."""
+    if not 0 <= p_min_exp <= 1074:
+        raise ValueError(f"p_min_exp must lie in [0, 1074], got {p_min_exp}")
     return tuple(2.0**-k for k in range(p_min_exp + 1))
 
 
@@ -361,24 +362,12 @@ def check_spectral_power(
                         *_col(_check_weight(t), r), tol, tally)[0]
 
 
-def s_bound(t: float) -> float:
-    """Documented exponent gate min(1/t, 2), with t=0 treated as 2."""
-    return 2.0 if t == 0.0 else min(1.0 / t, 2.0)
-
-
 def s_provable_bound(t: float) -> float:
     """Largest exponent for which the sandwich-vs-mean ordering is
-    established, 1/max(t, 1-t).
-
-    The wider gate min(1/t, 2) coincides with this for t >= 1/2 but is
-    strictly larger for 0 < t < 1/2, where the ordering genuinely fails
-    for some inputs (the monotonicity argument needs both ts <= 1 and
-    (1-t)s <= 1).  At the endpoints t in {0, 1} the two sides are equal
-    for every s, so the gate value is returned.
-    """
-    if t in (0.0, 1.0):
-        return s_bound(t)
-    return 1.0 / max(t, 1.0 - t)
+    established, 1/max(t, 1-t): the monotonicity argument needs ts <= 1
+    and (1-t)s <= 1.  At t = 0, where both sides equal A for every s, it
+    is 2, the exponent ``s_at_bound`` draws there."""
+    return 2.0 if t == 0.0 else 1.0 / max(t, 1.0 - t)
 
 
 def _beyond_bound(t: float, s: float) -> bool:
@@ -402,16 +391,14 @@ def check_natlog(A, B, t: float, s: float, tol: float = 1e-8, force: bool = Fals
     """(B^{ts/2} A^{(1-t)s} B^{ts/2})^{1/s} is log-majorized by the
     spectral mean.
 
-    The ordering provably holds for 0 < s <= 1/max(t, 1-t).  Values up to
-    the wider documented gate min(1/t, 2) are accepted without ``force``,
-    but for t < 1/2 the band between the two bounds admits genuine
-    counterexamples.  ``force=True`` runs s beyond the gate
-    (counterexample mode).
+    The ordering provably holds for 0 < s <= s_provable_bound(t); beyond
+    it the ordering can fail (see ``check_natlog_counterexample``).
+    ``force=True`` runs s beyond the bound (counterexample mode).
     """
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
-    if s > s_bound(t) + 1e-12 and not force:
-        raise SOutOfRange(f"s={s} exceeds bound {s_bound(t):.6g} for t={t}")
+    if _beyond_bound(t, s) and not force:
+        raise SOutOfRange(f"s={s} exceeds the provable bound {s_provable_bound(t):.6g} for t={t}")
     return _natlog(*_one(A, B), *_col(_check_weight(t), s), tol, tally)[0]
 
 
@@ -625,9 +612,7 @@ def _heinz(A, B, r, psd_tol):
 
 def check_loewner_heinz(A, B, r: float, psd_tol: float = 1e-9) -> CheckOutcome:
     """A >= B >= 0 implies A^r >= B^r for r in [0, 1]."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"r must lie in [0, 1], got {r}")
-    return _heinz(*_one(A, B), *_col(r), psd_tol)[0]
+    return _heinz(*_one(A, B), *_col(_check_weight(r, "r")), psd_tol)[0]
 
 
 def _lambda1(A, B, s, tol, tally):
@@ -649,9 +634,7 @@ def check_lambda1(
     lambda_1(A^{s/2} B^s A^{s/2}) <= lambda_1(A^{1/2} B A^{1/2})^s for
     s in [0, 1], together with its full log-majorization lift.  Products
     are evaluated through Hermitian similarity throughout."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must lie in [0, 1], got {s}")
-    return _lambda1(*_one(A, B), *_col(s), tol, tally)[0]
+    return _lambda1(*_one(A, B), *_col(_check_weight(s, "s")), tol, tally)[0]
 
 
 # --------------------------------------------------------------------------
@@ -755,9 +738,10 @@ def _reproduced(check_id: str, detail: dict) -> bool:
 def check_natlog_counterexample(
     tol: float = 1e-9, tally: OracleTally | None = None
 ) -> CheckOutcome:
-    """Reproduce the 2x2 fixture where s = 2.1 > min(1/t, 2) breaks the
-    sandwich-vs-mean log majorization.  The passing outcome is a FALSE
-    ordering verdict together with reproduction of the reference values."""
+    """Reproduce the 2x2 fixture where s = 2.1 > 3/2, the provable bound at
+    t = 1/3, breaks the sandwich-vs-mean log majorization.  The passing
+    outcome is a FALSE ordering verdict together with reproduction of the
+    reference values."""
     ce = NATLOG_COUNTEREXAMPLE
     A, B, t, s = ce["A"], ce["B"], ce["t"], ce["s"]
     out = check_natlog(A, B, t, s, tol=tol, force=True, tally=tally)
@@ -873,9 +857,8 @@ def _s_choices(cfg, t: float) -> list[float]:
     """The exponents a natlog trial at weight t draws from, in order: the
     s grid up to the provable bound 1/max(t, 1-t), the bound itself with
     ``s_at_bound``, and only with ``force_out_of_range`` the grid values
-    beyond it, whose rows are informational.  The wider documented gate
-    min(1/t, 2) is refuted for t < 1/2 (see the refutation fixture in the
-    tests), so drawing there would assert a false statement."""
+    beyond it, whose rows are informational: beyond the bound the ordering
+    can fail, so drawing there would assert a false statement."""
     choices = [s for s in cfg.s_grid if not _beyond_bound(t, s)]
     if cfg.s_at_bound:
         choices.append(s_provable_bound(t))

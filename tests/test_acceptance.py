@@ -2,8 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 PASS lines.  Criterion 3's randomized battery draws the sandwich exponent
-at the provable bound 1/max(t, 1-t) rather than the wider documented gate
-min(1/t, 2): the gate is refuted for t < 1/2 by an explicit 2x2 input pair
+at the provable bound 1/max(t, 1-t), the gate of the public check_natlog,
+rather than the wider gate min(1/t, 2): that gate is refuted for t < 1/2
+by an explicit 2x2 input pair
 (see tests/test_suite.py::TestNatlog::test_gate_wider_than_provable_bound_is_refuted),
 so zero violations are only attainable, and only meaningful, at the
 provable bound.

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +214,12 @@ class TestVerifyCommand:
             "--out-json", str(tmp_path / "x.json"),
         ])
         assert code == 2
+        # 2^-1075 underflows to 0.0: no grid point, so no run
+        code, csv_path, json_path = self.run_verify(
+            tmp_path, "p", extra=("--p-min-exp", "1075", "--trials", "1", "--limit-trials", "1"))
+        assert code == 2
+        assert capsys.readouterr().err.endswith("error: p_min_exp must lie in [0, 1074], got 1075\n")
+        assert not os.path.exists(csv_path) and not os.path.exists(json_path)
 
     @pytest.mark.parametrize("seed", [1.5, True, "7", -1])
     def test_bad_config_seed_exits_2_without_report(self, tmp_path, capsys, seed):
@@ -300,12 +308,22 @@ class TestLimitCommand:
                          "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
-    def test_negative_p_min_exp_exits_2_without_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--p-min-exp", "-1", "p_min_exp"), ("--p-min-exp", "1075", "p_min_exp"), ("--t", "1.5", "t"),
+    ], ids=["p_min_exp=-1", "p_min_exp=1075", "t=1.5"])
+    def test_out_of_range_parameter_exits_2_without_file(self, tmp_path, capsys,
+                                                          flag, value, field):
+        # each is rejected before any limit member is computed (2^-1075 underflows to 0.0)
         a = write(tmp_path, "a.json", np.diag([0.3, -0.2]))
         out = tmp_path / "x.csv"
-        code = cli.main(["limit", a, a, "--t", "0.5", "--p-min-exp", "-1", "--out", str(out)])
+        options = {"--t": "0.5", "--p-min-exp": "10", flag: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["limit", a, a, *(x for kv in options.items() for x in kv),
+                             "--out", str(out)])
         assert code == 2
-        assert "p_min_exp" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must lie in [0, ") and "Warning" not in err
         assert not out.exists()
 
 

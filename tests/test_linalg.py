@@ -107,6 +107,8 @@ class TestMatPower:
             mat_power(np.diag([1.0, -2.0]), 0.5)
         with pytest.raises(NonPositiveSpectrum):
             mat_power(np.diag([1.0, 0.0]), -1.0)
+        with pytest.raises(NonPositiveSpectrum):
+            mat_power(np.diag([1.0, -2.0]), 0)
 
 
 class TestExpLog:

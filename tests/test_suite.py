@@ -7,6 +7,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spdmeans import (
     CheckOutcome,
@@ -36,17 +38,19 @@ from spdmeans.suite import (
     MONOTONE_COUNTEREXAMPLE,
     NATLOG_COUNTEREXAMPLE,
     REPRODUCTION,
+    _beyond_bound,
     _run_trials,
+    _s_choices,
     dyadic_grid,
-    s_bound,
     s_provable_bound,
 )
 
 DIAG_A = np.diag([1.0, 4.0])
 DIAG_B = np.diag([9.0, 1.0])
 
-# Frozen refutation of the wider exponent gate min(1/t, 2): at t = 1/3 and
-# s = 2.0 (inside the gate, beyond the provable bound 3/2) this pair
+# Frozen refutation of the wider exponent gate min(1/t, 2), which
+# check_natlog once accepted: at t = 1/3 and s = 2.0 (inside that gate,
+# beyond the provable bound 3/2) this pair
 # violates the sandwich-vs-mean ordering; the top-prefix log margin is
 # -1.2270644e-4, confirmed with 50-digit arithmetic.
 GATE_REFUTATION = {
@@ -140,13 +144,32 @@ class TestNatlog:
         assert not out.verdict
 
     def test_gate_wider_than_provable_bound_is_refuted(self):
-        # the gate min(1/t, 2) admits genuine counterexamples for t < 1/2
+        # the gate min(1/t, 2) admits genuine counterexamples for t < 1/2,
+        # so the check refuses them unless forced
         ref = GATE_REFUTATION
-        assert ref["s"] <= s_bound(ref["t"])
+        assert ref["s"] <= min(1.0 / ref["t"], 2.0)
         assert ref["s"] > s_provable_bound(ref["t"])
-        out = check_natlog(ref["A"], ref["B"], ref["t"], ref["s"])
+        with pytest.raises(SOutOfRange):
+            check_natlog(ref["A"], ref["B"], ref["t"], ref["s"])
+        out = check_natlog(ref["A"], ref["B"], ref["t"], ref["s"], force=True)
         assert not out.verdict
         assert out.worst_margin == pytest.approx(ref["margin"], rel=1e-5)
+
+    @settings(deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 3.0, exclude_min=True))
+    @example(1.0 / 3.0, 1.9)            # inside min(1/t, 2), beyond 3/2
+    @example(1.0 / 3.0, 1.5)            # on the bound
+    def test_gate_is_the_provable_bound(self, t, s):
+        beyond = _beyond_bound(t, s)
+        if beyond:
+            with pytest.raises(SOutOfRange):
+                check_natlog(DIAG_A, DIAG_B, t, s)
+        else:
+            check_natlog(DIAG_A, DIAG_B, t, s)
+        for force in (False, True):
+            choices = _s_choices(SuiteConfig(s_grid=(s,), force_out_of_range=force), t)
+            assert force or not any(_beyond_bound(t, c) for c in choices)
+            assert (s in choices) == (force or not beyond)
 
 
 NATLOG_COUNTEREXAMPLE_ARGS = (
@@ -362,6 +385,13 @@ class TestCounterexampleChecks:
         assert [key for key, _, _ in REPRODUCTION[out.check_id]] == deltas
 
 
+@pytest.mark.parametrize("check, name", [(check_loewner_heinz, "r"), (check_lambda1, "s")])
+@pytest.mark.parametrize("value", [-0.5, 1.5])
+def test_unit_interval_parameters_are_range_checked(check, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\], got {value}$"):
+        check(DIAG_A + np.eye(2), DIAG_A, value)
+
+
 class TestRunSuite:
     def test_zero_trials_runs_only_fixed_rows(self):
         cfg = SuiteConfig(trials=0, limit_trials=0)
@@ -440,6 +470,18 @@ class TestRunSuite:
     def test_ranges_that_would_break_a_run_are_rejected(self, field, value):
         with pytest.raises(ValueError, match="grid|threshold"):
             SuiteConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("p_min_exp", [-1, 1075])
+    def test_p_min_exp_beyond_the_double_range_is_rejected(self, p_min_exp):
+        # 2^-1075 underflows to 0.0, which is no grid point
+        with pytest.raises(ValueError, match="p_min_exp"):
+            SuiteConfig(p_min_exp=p_min_exp).validate()
+        with pytest.raises(ValueError, match="p_min_exp"):
+            dyadic_grid(p_min_exp)
+
+    def test_dyadic_grid_reaches_the_smallest_double(self):
+        grid = dyadic_grid(1074)
+        assert len(grid) == 1075 and grid[0] == 1.0 and grid[-1] == 5e-324
 
     @pytest.mark.parametrize("trials", [2, 0])
     def test_s_grid_leaving_a_weight_without_exponent_is_rejected(self, trials):
