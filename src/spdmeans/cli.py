@@ -35,7 +35,7 @@ from .suite import (
     check_spectral_not_monotone,
     dyadic_grid,
     is_failure,
-    limit_member,
+    limit_members,
     limit_target,
     run_suite,
     summarize,
@@ -146,16 +146,16 @@ def _cmd_limit(args) -> int:
     A, B, t = A[None], B[None], np.array([_check_weight(args.t, "t")])
     grid = dyadic_grid(args.p_min_exp)
     target = limit_target(A, B, t)
-    rows = []
-    for p in grid:
-        Xp, Sp = (limit_member(family, A, B, t, p)[1] for family in ("spectral", "sandwich"))
-        rows.append((
-            p,
-            spectral_norm(Xp - target)[0],
-            spectral_norm(Sp - target)[0],
-            float(np.trace(Xp[0]).real),
-            float(np.trace(target[0]).real),
-        ))
+    errs = {"spectral": [], "sandwich": []}
+    traces = []
+    for family, err in errs.items():
+        for _, _, members in limit_members(family, A, B, t, grid):
+            err.extend(spectral_norm(members - target))
+            if family == "spectral":
+                traces.extend(float(np.trace(X).real) for X in members)
+    trace_target = float(np.trace(target[0]).real)
+    rows = [(p, *row, trace_target)
+            for p, *row in zip(grid, errs["spectral"], errs["sandwich"], traces)]
     matrixio.write_text(_resolve(args.out), matrixio.limit_csv_text(rows))
     print(f"wrote {len(rows)} grid points to {_resolve(args.out)}")
     return 0

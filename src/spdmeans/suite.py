@@ -27,7 +27,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -73,6 +73,12 @@ TAU_SIM = 1e-8       # similarity-witness residual, relative
 SPECTRUM_TOL = 5e-4  # reproduction of 4-decimal reference spectra
 ENTRY_TOL = 1e-3     # reproduction of 4-decimal reference matrices
 EIG_TOL = 5e-3       # reproduction of 4-decimal reference eigenvalues
+
+# Matrix entries per stack of trials, and of a limit family's members over
+# the p grid.  Batching pays off for small n, where wrapper overhead
+# dominates; for large n it gains little and the group's intermediates
+# would raise peak memory, so large-n stacks are split.
+_STACK_ENTRIES = 4096
 
 # Fixtures with published 4-decimal reference values: a (t, s) pair beyond
 # the provable exponent bound 1/max(t, 1-t) where the sandwich power is
@@ -240,21 +246,28 @@ def _logmaj(cols: dict, name: str, lo, hi, tol: float) -> np.ndarray:
     return ok
 
 
+def _oracle_runs(tally: OracleTally | None, A) -> bool:
+    """The compound oracle's gate: tallied groups with n <= 4."""
+    return tally is not None and A.shape[-1] <= 4
+
+
 def _oracle(tally: OracleTally | None, A, tol: float, links: Callable) -> None:
     """Feed a group's log-majorization verdicts through the compound
-    oracle when tallied and n <= 4.  ``links()`` gives the
-    ``(verdicts, dominated, dominant)`` stacks; the compounds of each
-    distinct stack are computed once."""
-    if tally is None or A.shape[-1] > 4:
+    oracle where it runs.  ``links()`` gives the ``(verdicts, dominated,
+    dominant)`` stacks; the compound spectra of all distinct stacks are
+    computed in one pass."""
+    if not _oracle_runs(tally, A) or not (links := links()):
         return
-    spectra = {}
-    for ok, *pair in links():
-        for M in pair:
-            if id(M) not in spectra:
-                spectra[id(M)] = _compound_spectra(M)
-        agree = _compound_order(*(spectra[id(M)] for M in pair), tol) == ok
-        tally.comparisons += agree.size
-        tally.mismatches += int(np.count_nonzero(~agree))
+    mats = list({id(M): M for _, lo, hi in links for M in (lo, hi)}.values())
+    index = {id(M): i for i, M in enumerate(mats)}
+    tops, kappa, det = _compound_spectra(np.stack(mats))
+
+    def spectra(j):                      # of the j-th entry of every link
+        i = [index[id(link[j])] for link in links]
+        return [top[i] for top in tops], kappa[i], det[i]
+    agree = _compound_order(spectra(1), spectra(2), tol) == np.array([ok for ok, _, _ in links])
+    tally.comparisons += agree.size
+    tally.mismatches += int(np.count_nonzero(~agree))
 
 
 def _equality(X, Y) -> np.ndarray:
@@ -452,40 +465,51 @@ def _validate_p_grid(p_grid) -> tuple[float, ...]:
     return p_grid
 
 
-def _exp_spectral_factor(A, B, t, p):
-    """Gram factor of exp(pA) nat_t exp(pB), for Hermitian stacks A, B."""
-    a, b = spd(_exp(p * A)), spd(_exp(p * B))
-    return _nat_factor(a, b, t)
-
-
-def _exp_sandwich_factor(A, B, t, p):
-    """Gram factor exp(ptB/2) exp(p(1-t)A/2) of the sandwich product."""
-    tc = t[:, None, None]
-    return _exp(p * tc * B / 2.0) @ _exp(p * (1.0 - tc) * A / 2.0)
-
-
-def limit_member(family: str, A, B, t, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """The p-th member of a small-exponent limit family, for Hermitian
-    stacks A, B with one weight per pair, with its Gram factor before the
-    1/p power: ``spectral`` is (exp(pA) nat_t exp(pB))^{1/p} and
-    ``sandwich`` (exp(ptB/2) exp(p(1-t)A) exp(ptB/2))^{1/p}."""
-    factor = _exp_spectral_factor if family == "spectral" else _exp_sandwich_factor
-    F = factor(A, B, t, p)
-    return F, _power(gram(F), 1.0 / p)
-
-
 def limit_target(A, B, t) -> np.ndarray:
     """The common limit exp((1-t)A + tB) of both families."""
     tc = t[:, None, None]
     return _exp((1.0 - tc) * A + tc * B)
 
 
+def limit_factors(family: str, A, B, t, p_grid) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Gram factors of the members of a small-exponent limit family over a
+    p grid, for Hermitian stacks A, B with one weight per pair: ``spectral``
+    is exp(pA) nat_t exp(pB) and ``sandwich`` exp(ptB/2) exp(p(1-t)A/2).
+
+    Each operand X (A and B, or (1-t)A/2 and tB/2) is decomposed once and
+    exp(pX) built as U diag(exp(pw)) U*: eigh is exactly equivariant under
+    scaling by a power of two (above LAPACK's rescaling thresholds), so on
+    a dyadic grid this is bitwise the exponential of a fresh decomposition
+    of pX.  Yields ``(p, F)`` per chunk of grid points whose factors hold
+    at most ``_STACK_ENTRIES`` matrix entries (or one point), the rows
+    p-major and ``p`` the grid point of each row."""
+    tc = t[:, None, None]
+    ops = (A, B) if family == "spectral" else ((1.0 - tc) * A / 2.0, tc * B / 2.0)
+    eigs = [_eigh(X) for X in ops]
+    k, n = A.shape[0], A.shape[-1]
+    size = max(1, _STACK_ENTRIES // (k * n * n))
+    for i in range(0, len(p_grid), size):
+        p = np.array(p_grid[i:i + size])
+        ea, eb = (from_eig(U, np.exp(p[:, None, None] * w)).reshape(-1, n, n) for w, U in eigs)
+        F = _nat_factor(spd(ea), spd(eb), np.tile(t, len(p))) if family == "spectral" else eb @ ea
+        yield np.repeat(p, k), F
+
+
+def limit_members(family: str, A, B, t, p_grid) -> Iterator[tuple[np.ndarray, ...]]:
+    """``limit_factors`` with each member F F* raised to its 1/p power:
+    the family (exp(pA) nat_t exp(pB))^{1/p} or (exp(ptB/2) exp(p(1-t)A)
+    exp(ptB/2))^{1/p}.  Yields ``(p, F, member)`` per chunk."""
+    for p, F in limit_factors(family, A, B, t, p_grid):
+        yield p, F, _power(gram(F), 1.0 / p)
+
+
 def _trace(A, B, t, p_grid, tol):
     tc = t[:, None, None]
     w_mix = _eigh((1.0 - tc) * A + tc * B)[0]
     target = np.sum(np.exp(w_mix), axis=-1)
-    traces = [np.sum(spectrum_of_factor(_exp_spectral_factor(A, B, t, p)) ** (1.0 / p), axis=-1)
-              for p in p_grid]
+    traces = []
+    for p, F in limit_factors("spectral", A, B, t, p_grid):
+        traces.extend(np.sum(row_power(spectrum_of_factor(F), 1.0 / p), axis=-1).reshape(-1, len(t)))
     cols = {
         "t": t,
         "trace_lower_bound": _first_min([(tr - target) / target for tr in traces]),
@@ -508,19 +532,21 @@ def check_trace_corollary(
 
 def _limit(family, A, B, t, p_grid, tol, err_threshold, floor, tally):
     """Group evaluator of the small-exponent limit check of the named
-    family of ``limit_member``."""
+    family of ``limit_members``."""
     n = A.shape[-1]
     target = limit_target(A, B, t)
     # log of each reversed spectrum as a 1-D strided view, which numpy
     # evaluates through libm rather than its contiguous SIMD loop
     kf_scale = np.array([np.sum(np.exp(np.log(w[::-1]))) for w in np.linalg.eigvalsh(target)])
 
+    # the oracle's members are kept only where it runs (n <= 4)
     errs, specs, mats = [], [], []
-    for p in p_grid:
-        F, member = limit_member(family, A, B, t, p)
-        errs.append(spectral_norm(member - target))
-        specs.append(np.log(spectrum_of_factor(F)) / p)
-        mats.append(member)
+    for p, F, member in limit_members(family, A, B, t, p_grid):
+        member = member.reshape(-1, *target.shape)
+        errs.extend(spectral_norm(member - target))
+        specs.extend((np.log(spectrum_of_factor(F)) / p[:, None]).reshape(-1, len(t), n))
+        if _oracle_runs(tally, A):
+            mats.extend(member)
     cols = {"t": t, "final_err": errs[-1],
             "final_err_margin": (err_threshold - errs[-1]) / err_threshold}
 
@@ -545,7 +571,7 @@ def _limit(family, A, B, t, p_grid, tol, err_threshold, floor, tally):
     _oracle(tally, A, tol, lambda: [(ok, mats[i + 1], mats[i]) for i, ok in enumerate(oks)])
 
     if family == "sandwich":   # bounded above by exp(A) nat_t exp(B)
-        upper = np.log(spectrum_of_factor(_exp_spectral_factor(A, B, t, 1.0)))
+        upper = np.log(spectrum_of_factor(next(limit_factors("spectral", A, B, t, (1.0,)))[1]))
         for i, spec in enumerate(specs):
             cols[f"upper_bound_{i}"] = _first_min([
                 (np.cumsum(upper, axis=-1) - np.cumsum(spec, axis=-1)).min(axis=-1),
@@ -1034,11 +1060,6 @@ _REGISTRY = (
            lambda cfg, tally: [check_lambda1(_DIAG_A, _DIAG_B, s, tol=cfg.tol, tally=tally)
                                for s in (1.0, 0.0)]),
 )
-
-# Matrix entries per stack of trials.  Batching pays off for small n, where
-# wrapper overhead dominates; for large n it gains little and the group's
-# intermediates would raise peak memory, so large-n groups are split.
-_STACK_ENTRIES = 4096
 
 
 def _run_trials(cfg: SuiteConfig, idx: int, check: _Check, tally: OracleTally):

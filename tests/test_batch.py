@@ -174,7 +174,8 @@ def test_grouped_oracle_matches_cross_check_link_by_link(n, monkeypatch):
         calls.clear()
         tally = OracleTally()
         suite._oracle(tally, X, tol, lambda: links)
-        assert len(calls) == 3               # once per distinct stack
+        # one pass over the group, each distinct stack in it once
+        assert len(calls) == 1 and calls[0].shape == (3, k, n, n)
         mismatches = 0
         for ok, lo, hi in links:
             want = compound_cross_check(lo, hi, tol)

@@ -1,6 +1,7 @@
 """Reports are bitwise reproducible: ``spdmeans verify --seed 1`` writes the
 CSV whose sha256 the benchmark records in ``bench/baseline.json`` for this
-numpy/BLAS environment, at the configurations of its two verify workloads.
+numpy/BLAS environment, at the configurations of its two verify workloads,
+and so do seeds 0 and 40 at the default configuration.
 A change that moves any verdict or margin of a report fails here; where no
 digest is recorded for the environment the test skips."""
 
@@ -41,16 +42,25 @@ def recorded() -> tuple[str, dict]:
         return key, json.load(fh)["digests"].get(key, {})
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_report_matches_recorded_digest(workload, recorded, tmp_path):
+def check_digest(workload: str, seed: int, recorded, tmp_path) -> None:
     key, digests = recorded
-    want = digests.get(workload, {}).get("1")
+    want = digests.get(workload, {}).get(str(seed))
     if want is None:
-        pytest.skip(f"no {workload} digest recorded for {key!r}")
+        pytest.skip(f"no {workload} seed {seed} digest recorded for {key!r}")
     csv_path = tmp_path / "report.csv"
     proc = subprocess.run(
-        [sys.executable, "-m", "spdmeans.cli", "verify", "--seed", "1", *WORKLOADS[workload],
+        [sys.executable, "-m", "spdmeans.cli", "verify", "--seed", str(seed), *WORKLOADS[workload],
          "--out-csv", str(csv_path), "--out-json", str(tmp_path / "report.json")],
         env=ENV, cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == want
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_report_matches_recorded_digest(workload, recorded, tmp_path):
+    check_digest(workload, 1, recorded, tmp_path)
+
+
+@pytest.mark.parametrize("seed", [0, 40])
+def test_default_report_matches_recorded_digest_at_more_seeds(seed, recorded, tmp_path):
+    check_digest("verify_default", seed, recorded, tmp_path)
