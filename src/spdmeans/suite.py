@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import pickle
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, Iterator, NamedTuple
@@ -642,10 +644,10 @@ def check_loewner_heinz(A, B, r: float, psd_tol: float = 1e-9) -> CheckOutcome:
 
 
 def _lambda1(A, B, s, tol, tally):
-    eig_a, eig_b = _pd_eigh(A), _pd_eigh(B)
-    Fx = power_from_eig(*eig_a, s / 2.0) @ power_from_eig(*eig_b, s / 2.0)
+    a, b = spd(A), spd(B)
+    Fx = power_from_eig(a.w, a.U, s / 2.0) @ power_from_eig(b.w, b.U, s / 2.0)
     log_x = np.log(spectrum_of_factor(Fx))
-    Fy = power_from_eig(*eig_a, 0.5) @ power_from_eig(*eig_b, 0.5)
+    Fy = a.root @ b.root
     log_y = s[:, None] * np.log(spectrum_of_factor(Fy))
     cols = {"s": s, "lambda1": log_y[:, 0] - log_x[:, 0]}
     ok = _logmaj(cols, "product_power", log_x, log_y, tol)
@@ -677,7 +679,8 @@ def _means_identities(A, B, t, r, s, alpha, beta, tol):
     def mean(x, y, w):                   # spectral mean of decomposed operands
         return nat(_inv_sharp(x, y), x, w)
 
-    nat_ab, nat_ba = nat(C_ab, a, t), nat(C_ba, b, t)
+    F_ab = _spectral_factor(C_ab, a, t)
+    nat_ab, nat_ba = gram(F_ab), nat(C_ba, b, t)
     inv_a = spd(power_from_eig(a.w, a.U, -1.0))
     inv_b = spd(power_from_eig(b.w, b.U, -1.0))
     n_ab, n_ba = spd(nat_ab), spd(nat_ba)
@@ -698,7 +701,7 @@ def _means_identities(A, B, t, r, s, alpha, beta, tol):
     cols["endpoint_b"] = _equality(nat(C_ab, a, 1.0), B)
 
     # determinant identity, in log space
-    log_det_nat = np.sum(np.log(spectrum_of_factor(_spectral_factor(C_ab, a, t))), axis=-1)
+    log_det_nat = np.sum(np.log(spectrum_of_factor(F_ab)), axis=-1)
     target = (1.0 - t) * np.sum(np.log(a.w), axis=-1) + t * np.sum(np.log(b.w), axis=-1)
     cols["determinant"] = -np.abs(log_det_nat - target)
 
@@ -709,7 +712,7 @@ def _means_identities(A, B, t, r, s, alpha, beta, tol):
 
     # midpoint spectrum property: lambda(A nat B) = sqrt(lambda(A B))
     lam_nat = spectrum_of_factor(_spectral_factor(C_ab, a, 0.5))
-    lam_prod = spectrum_of_factor(power_from_eig(a.w, a.U, 0.5) @ power_from_eig(b.w, b.U, 0.5))
+    lam_prod = spectrum_of_factor(a.root @ b.root)
     cols["sqrt_spectrum"] = -np.max(np.abs(lam_nat - np.sqrt(lam_prod)) / np.sqrt(lam_prod), axis=-1)
     return _outcomes("means_identities", tol, cols)
 
@@ -1094,31 +1097,103 @@ def _run_trials(cfg: SuiteConfig, idx: int, check: _Check, tally: OracleTally):
             yield out
 
 
+def _check_rows(cfg: SuiteConfig, idx: int) -> tuple[list[CheckOutcome], OracleTally]:
+    """The fixed and randomized rows of registry check ``idx``, with the
+    oracle tally of those rows alone."""
+    check, tally = _REGISTRY[idx], OracleTally()
+    rows = check.fixed(cfg, tally)
+    for j, out in enumerate(rows):
+        out.trial, out.seed = -1 - j, cfg.seed
+    rows.extend(_run_trials(cfg, idx, check, tally))
+    return rows, tally
+
+
+def _share(cfg: SuiteConfig, indices) -> dict:
+    """``_check_rows`` of each index in ascending order, up to and including
+    the first that raises, which maps to its exception."""
+    results = {}
+    for idx in indices:
+        try:
+            results[idx] = _check_rows(cfg, idx)
+        except Exception as exc:        # re-raised by _registry_rows in registry order
+            results[idx] = exc
+            break
+    return results
+
+
+def _registry_rows(cfg: SuiteConfig, workers: int, tally: OracleTally) -> list[CheckOutcome]:
+    """Every registry check's rows in registry order, their oracle counts
+    added to ``tally``.  Check i runs in worker i mod W: worker 0 is this
+    process, each other a forked child that pickles its results into a
+    pipe (a failed fork leaves its checks to this process).  Each worker
+    stops at its first exception; the first in registry order is raised,
+    as in a serial run."""
+    count = len(_REGISTRY)
+    workers = max(1, min(workers, count)) if hasattr(os, "fork") else 1
+    pids, unread, results = [], {}, {}  # unread: pid -> read end of its pipe
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                try:
+                    for fd in (read_fd, *unread.values()):
+                        os.close(fd)
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(pickle.dumps(_share(cfg, range(w, count, workers))))
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            pids.append(pid)
+            unread[pid] = read_fd
+        started = len(pids) + 1
+        results.update(_share(cfg, [i for i in range(count)
+                                    if i % workers == 0 or i % workers >= started]))
+        for pid in pids:
+            with open(unread.pop(pid), "rb") as pipe:
+                data = pipe.read()
+            if not data:
+                raise ChildProcessError(f"check worker {pid} ended without a result")
+            results.update(pickle.loads(data))
+    finally:
+        for pid in pids:
+            if pid in unread:           # this process is raising: stop the child
+                os.close(unread.pop(pid))
+                os.kill(pid, 9)         # SIGKILL
+            os.waitpid(pid, 0)
+    rows = []
+    for idx in range(count):
+        if isinstance(results[idx], BaseException):
+            raise results[idx]
+        rows += results[idx][0]
+        tally.comparisons += results[idx][1].comparisons
+        tally.mismatches += results[idx][1].mismatches
+    return rows
+
+
 def run_suite(config: SuiteConfig | None = None) -> list[CheckOutcome]:
     """Run every check over its fixed cases plus the randomized ensemble.
 
     Deterministic in the config (each trial owns a generator derived from
     (seed, check index, trial index)); results are sorted by check id and
     trial index.  With trials=0 only the fixed-input rows are produced.
+    The registry checks run in one process per available CPU (at most one
+    per check); the result does not depend on how many.
     """
     cfg = config if config is not None else SuiteConfig()
     cfg.validate()
     tally = OracleTally()
-    outcomes: list[CheckOutcome] = []
-
-    ce = check_natlog_counterexample(tol=cfg.tol, tally=tally)
-    ce.seed = cfg.seed
-    outcomes.append(ce)
-    ce = check_spectral_not_monotone(psd_tol=cfg.psd_tol)
-    ce.seed = cfg.seed
-    outcomes.append(ce)
-
-    for idx, check in enumerate(_REGISTRY):
-        for j, out in enumerate(check.fixed(cfg, tally)):
-            out.trial = -1 - j
-            out.seed = cfg.seed
-            outcomes.append(out)
-        outcomes.extend(_run_trials(cfg, idx, check, tally))
+    outcomes = [check_natlog_counterexample(tol=cfg.tol, tally=tally),
+                check_spectral_not_monotone(psd_tol=cfg.psd_tol)]
+    for out in outcomes:
+        out.seed = cfg.seed
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    outcomes += _registry_rows(cfg, cpus or 1, tally)
 
     outcomes.append(CheckOutcome(
         check_id="oracle_agreement",

@@ -16,7 +16,7 @@ from spdmeans import (
     spectrum_of_factor,
 )
 from spdmeans.errors import BadOrder, NonHermitianInput, NonPositiveSpectrum
-from spdmeans.linalg import ETA_UNIT, TAU_RECON
+from spdmeans.linalg import ETA_UNIT, TAU_RECON, power_from_eig, spd
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -196,3 +196,15 @@ def test_spectrum_of_factor_matches_gram_eigenvalues():
     lam = spectrum_of_factor(F)
     expected = np.linalg.eigvalsh(F @ F.conj().T)[::-1]
     np.testing.assert_allclose(lam, expected, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 64])
+def test_half_power_from_eig_is_the_cached_root_bitwise(n):
+    """The checks use ``Spd.root`` wherever they need P^{1/2} of a
+    decomposed stack; the report bytes rely on it equalling
+    ``power_from_eig(w, U, 0.5)`` bit for bit (numpy takes sqrt for a
+    scalar exponent 0.5)."""
+    rng = np.random.default_rng(n)
+    G = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+    s = spd(G @ G.conj().transpose(0, 2, 1) + 1e-3 * np.eye(n))
+    assert power_from_eig(s.w, s.U, 0.5).tobytes() == s.root.tobytes()

@@ -1,7 +1,9 @@
 """Reports are bitwise reproducible: ``spdmeans verify --seed 1`` writes the
 CSV whose sha256 the benchmark records in ``bench/baseline.json`` for this
 numpy/BLAS environment, at the configurations of its two verify workloads,
-and so do seeds 0 and 40 at the default configuration.
+and so do seeds 0 and 40 at the default configuration.  The seed-1
+default report is also checked with the process restricted to one CPU,
+where the checks run serially in one process.
 A change that moves any verdict or margin of a report fails here; where no
 digest is recorded for the environment the test skips."""
 
@@ -42,7 +44,7 @@ def recorded() -> tuple[str, dict]:
         return key, json.load(fh)["digests"].get(key, {})
 
 
-def check_digest(workload: str, seed: int, recorded, tmp_path) -> None:
+def check_digest(workload: str, seed: int, recorded, tmp_path, preexec_fn=None) -> None:
     key, digests = recorded
     want = digests.get(workload, {}).get(str(seed))
     if want is None:
@@ -51,7 +53,7 @@ def check_digest(workload: str, seed: int, recorded, tmp_path) -> None:
     proc = subprocess.run(
         [sys.executable, "-m", "spdmeans.cli", "verify", "--seed", str(seed), *WORKLOADS[workload],
          "--out-csv", str(csv_path), "--out-json", str(tmp_path / "report.json")],
-        env=ENV, cwd=tmp_path, capture_output=True, text=True)
+        env=ENV, cwd=tmp_path, capture_output=True, text=True, preexec_fn=preexec_fn)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == want
 
@@ -64,3 +66,10 @@ def test_report_matches_recorded_digest(workload, recorded, tmp_path):
 @pytest.mark.parametrize("seed", [0, 40])
 def test_default_report_matches_recorded_digest_at_more_seeds(seed, recorded, tmp_path):
     check_digest("verify_default", seed, recorded, tmp_path)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity control")
+def test_default_report_on_one_cpu_matches_recorded_digest(recorded, tmp_path):
+    cpu = min(os.sched_getaffinity(0))
+    check_digest("verify_default", 1, recorded, tmp_path,
+                 preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
