@@ -84,6 +84,8 @@ def _grid(text: str) -> tuple[float, ...]:
 
 
 def _config_from_args(args) -> SuiteConfig:
+    """The config file's fields (if one is given), each given flag on top."""
+    data = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -92,19 +94,19 @@ def _config_from_args(args) -> SuiteConfig:
             raise ValueError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ValueError(f"config is not valid JSON: {exc}") from exc
-        if args.force_out_of_range:
-            data["force_out_of_range"] = True
-        return SuiteConfig.from_dict(data)
-    kwargs = {name: getattr(args, name)
-              for name in ("seed", "trials", "limit_trials", "p_min_exp", "spread", "tol")
-              if getattr(args, name) is not None}
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object of SuiteConfig fields")
+    data.update({name: getattr(args, name)
+                 for name in ("seed", "trials", "limit_trials", "p_min_exp", "spread", "tol")
+                 if getattr(args, name) is not None})
     if args.dims is not None:
-        kwargs["dims"] = tuple(int(v) for v in args.dims.split(","))
+        data["dims"] = tuple(int(v) for v in args.dims.split(","))
     for flag in ("t", "r", "s"):
         if getattr(args, flag) is not None:
-            kwargs[f"{flag}_grid"] = _grid(getattr(args, flag))
-    kwargs["force_out_of_range"] = bool(args.force_out_of_range)
-    return SuiteConfig(**kwargs)
+            data[f"{flag}_grid"] = _grid(getattr(args, flag))
+    if args.force_out_of_range:
+        data["force_out_of_range"] = True
+    return SuiteConfig.from_dict(data)
 
 
 def _cmd_verify(args) -> int:

@@ -33,12 +33,13 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import PreconditionNotMet, SOutOfRange
+from .errors import NumericBreakdown, PreconditionNotMet, SOutOfRange
 from .linalg import (
     _eigh,
     _exp,
     _pd_eigh,
     _power,
+    any_true,
     ct,
     from_eig,
     generators,
@@ -317,11 +318,13 @@ def _col(*values) -> list[np.ndarray]:
 # power inequalities for the two means
 # --------------------------------------------------------------------------
 
-def _power_order(check_id, factor, reverse, A, B, t, r, tol, tally):
-    """Power inequality rows for the mean with Gram factor ``factor``.  For
-    the metric mean the mean of the r-th powers is dominated when r >= 1
-    and the smaller exponent dominates in the monotone family; ``reverse``
-    swaps both orderings, as for the spectral mean."""
+def _power_order(mean, A, B, t, r, tol, tally):
+    """Power inequality rows for the ``geometric`` (metric) or ``spectral``
+    mean.  For the metric mean the mean of the r-th powers is dominated
+    when r >= 1 and the smaller exponent dominates in the monotone family;
+    the spectral mean reverses both orderings."""
+    reverse = mean == "spectral"
+    factor = _nat_factor if reverse else _metric_factor
     a, b = spd(A), spd(B)
     F_base = factor(a, b, t)
     F_pow = factor(spd(power_from_eig(a.w, a.U, r)), spd(power_from_eig(b.w, b.U, r)), t)
@@ -350,7 +353,7 @@ def _power_order(check_id, factor, reverse, A, B, t, r, tol, tally):
         return [(ok_order, np.where(m, powered, base_r), np.where(m, base_r, powered)),
                 (ok_mono, *((mq, mp) if reverse else (mp, mq)))]
     _oracle(tally, A, tol, links)
-    return _outcomes(check_id, tol, cols)
+    return _outcomes(f"{mean}_power_order", tol, cols)
 
 
 def check_geometric_power(
@@ -361,8 +364,7 @@ def check_geometric_power(
     r <= 1), plus the induced monotonicity in the exponent."""
     if r <= 0:
         raise ValueError(f"r must be positive, got {r}")
-    return _power_order("geometric_power_order", _metric_factor, False, *_one(A, B),
-                        *_col(_check_weight(t), r), tol, tally)[0]
+    return _power_order("geometric", *_one(A, B), *_col(_check_weight(t), r), tol, tally)[0]
 
 
 def check_spectral_power(
@@ -373,8 +375,7 @@ def check_spectral_power(
     for r >= 1, and the larger exponent dominates in the monotone family."""
     if r <= 0:
         raise ValueError(f"r must be positive, got {r}")
-    return _power_order("spectral_power_order", _nat_factor, True, *_one(A, B),
-                        *_col(_check_weight(t), r), tol, tally)[0]
+    return _power_order("spectral", *_one(A, B), *_col(_check_weight(t), r), tol, tally)[0]
 
 
 def s_provable_bound(t: float) -> float:
@@ -398,7 +399,11 @@ def _natlog(A, B, t, s, tol, tally):
     ok = _logmaj(cols, "sandwich_vs_mean", np.log(spectrum_of_factor(F_mid)) / s[:, None],
                  np.log(spectrum_of_factor(F_nat)), tol)
     _oracle(tally, A, tol, lambda: [(ok, _power(gram(F_mid), 1.0 / s), gram(F_nat))])
-    return _outcomes("natlog_order", tol, cols)
+    outs = _outcomes("natlog_order", tol, cols)
+    for out, u, v in zip(outs, t.tolist(), s.tolist()):
+        if _beyond_bound(u, v):         # reached only by force: informational
+            out.detail["out_of_range"] = 1.0
+    return outs
 
 
 def check_natlog(A, B, t: float, s: float, tol: float = 1e-8, force: bool = False,
@@ -408,7 +413,9 @@ def check_natlog(A, B, t: float, s: float, tol: float = 1e-8, force: bool = Fals
 
     The ordering provably holds for 0 < s <= s_provable_bound(t); beyond
     it the ordering can fail (see ``check_natlog_counterexample``).
-    ``force=True`` runs s beyond the bound (counterexample mode).
+    ``force=True`` runs s beyond the bound (counterexample mode); such a
+    row has ``detail["out_of_range"] == 1.0`` and is informational, as
+    in the battery.
     """
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
@@ -497,12 +504,26 @@ def limit_factors(family: str, A, B, t, p_grid) -> Iterator[tuple[np.ndarray, np
         yield np.repeat(p, k), F
 
 
+def _root(w: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``w ** (1/p)`` for spectra with one grid point p per row; where it
+    overflows, NumericBreakdown names the first such p."""
+    with np.errstate(over="ignore"):
+        x = row_power(w, 1.0 / p)
+    if any_true(bad := ~np.isfinite(x).all(axis=-1)):
+        q = float(p[np.argmax(bad)])
+        raise NumericBreakdown(f"the 1/p power of a limit family member overflows at p={q:.6g} "
+                               f"(2^{math.log2(q):g}): doubles do not resolve the limit this "
+                               "close to p = 0")
+    return x
+
+
 def limit_members(family: str, A, B, t, p_grid) -> Iterator[tuple[np.ndarray, ...]]:
     """``limit_factors`` with each member F F* raised to its 1/p power:
     the family (exp(pA) nat_t exp(pB))^{1/p} or (exp(ptB/2) exp(p(1-t)A)
     exp(ptB/2))^{1/p}.  Yields ``(p, F, member)`` per chunk."""
     for p, F in limit_factors(family, A, B, t, p_grid):
-        yield p, F, _power(gram(F), 1.0 / p)
+        w, U = _pd_eigh(gram(F))
+        yield p, F, from_eig(U, _root(w, p))
 
 
 def _trace(A, B, t, p_grid, tol):
@@ -511,7 +532,7 @@ def _trace(A, B, t, p_grid, tol):
     target = np.sum(np.exp(w_mix), axis=-1)
     traces = []
     for p, F in limit_factors("spectral", A, B, t, p_grid):
-        traces.extend(np.sum(row_power(spectrum_of_factor(F), 1.0 / p), axis=-1).reshape(-1, len(t)))
+        traces.extend(np.sum(_root(spectrum_of_factor(F), p), axis=-1).reshape(-1, len(t)))
     cols = {
         "t": t,
         "trace_lower_bound": _first_min([(tr - target) / target for tr in traces]),
@@ -779,7 +800,6 @@ def check_natlog_counterexample(
     sandwich = mat_power(gram(F_mid), 1.0 / s)
     nat = spectral_mean(A, B, t)
     d = out.detail
-    d["out_of_range"] = 1.0
     d["delta_spectrum_sandwich"] = _delta(np.linalg.eigvalsh(sandwich)[::-1],
                                           ce["printed_sandwich_spectrum"])
     d["delta_spectrum_mean"] = _delta(np.linalg.eigvalsh(nat)[::-1], ce["printed_mean_spectrum"])
@@ -948,39 +968,23 @@ def _top(P: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(P)[:, -1][:, None, None]
 
 
-def _shrunk(X: np.ndarray, P: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """X minus a PSD perturbation with top eigenvalue u * lambda_min(X)."""
-    scale = u * np.linalg.eigvalsh(X)[:, 0]
-    return X - P * (scale[:, None, None] / _top(P))
+def _exponents(d: dict) -> None:
+    """Derive the Hermitian pair of an exponential check from the PD pair drawn."""
+    d["A"], d["B"] = _bounded_log(d["A"]), _bounded_log(d["B"])
 
 
-def _run_natlog(cfg, tally, d):
-    outs = _natlog(d["A"], d["B"], d["t"], d["s"], cfg.tol, tally)
-    for out, t, s in zip(outs, d["t"].tolist(), d["s"].tolist()):
-        if _beyond_bound(t, s):
-            out.detail["out_of_range"] = 1.0
-    return outs
+def _dominated(d: dict) -> None:
+    """Derive C and D below A and B: each minus a PSD perturbation with top
+    eigenvalue scale * lambda_min."""
+    for key, X in (("C", "A"), ("D", "B")):
+        P, u = d.pop(f"{key}_perturbation"), d.pop(f"{key}_scale")
+        d[key] = d[X] - P * ((u * np.linalg.eigvalsh(d[X])[:, 0])[:, None, None] / _top(P))
 
 
-def _run_exponential(evaluate):
-    """Group run of a check on Hermitian pairs, drawn as logs of PD pairs."""
-    def run(cfg, tally, d):
-        d["A"], d["B"] = _bounded_log(d["A"]), _bounded_log(d["B"])
-        return evaluate(d["A"], d["B"], d["t"], dyadic_grid(cfg.p_min_exp), cfg.tol,
-                        cfg.limit_err_threshold, cfg.limit_floor, tally)
-    return run
-
-
-def _run_loewner_monotone(cfg, tally, d):
-    d["C"] = _shrunk(d["A"], d.pop("C_perturbation"), d.pop("C_scale"))
-    d["D"] = _shrunk(d["B"], d.pop("D_perturbation"), d.pop("D_scale"))
-    return _loewner_monotone(d["A"], d["B"], d["C"], d["D"], d["t"], cfg.psd_tol)
-
-
-def _run_heinz(cfg, tally, d):
+def _dominating(d: dict) -> None:
+    """Derive A above B: B plus a PSD perturbation with top eigenvalue ``scale``."""
     P = d.pop("perturbation")
     d["A"] = d["B"] + P * (d.pop("scale")[:, None, None] / _top(P))
-    return _heinz(d["A"], d["B"], d["r"], cfg.psd_tol)
 
 
 _DIAG_A = np.diag([1.0, 4.0])
@@ -988,80 +992,73 @@ _DIAG_B = np.diag([9.0, 1.0])
 _HERM_A = np.diag([0.5, -0.5])
 _HERM_B = np.array([[0.2, 0.1], [0.1, -0.1]])
 
-
-def _limit_options(cfg: SuiteConfig) -> dict:
-    return {"p_grid": dyadic_grid(cfg.p_min_exp), "tol": cfg.tol,
-            "err_threshold": cfg.limit_err_threshold, "floor": cfg.limit_floor}
+_TOL, _ORACLE, _PSD = ("tol",), ("tol", "tally"), ("psd_tol",)
+_LIMIT = ("p_grid", "tol", "err_threshold", "floor", "tally")
 
 
 class _Check(NamedTuple):
-    """One entry of the battery: the draws of one trial, the evaluation of
-    one group of trials, the fixed-input rows, and the config field with
-    the trial count.  ``run`` gets a dict of stacked draws and leaves in
-    it exactly the inputs it evaluated: it adds the derived ones and pops
-    the raw draws it consumed.  That dict is the witness of a failing
-    trial."""
+    """One entry of the battery.  ``draw`` makes the draws of one trial;
+    ``derive``, if any, turns a group's stacked draws into the inputs of
+    the group evaluator ``evaluate`` in place (adding derived inputs and
+    popping the raw draws consumed); ``public`` is the check_* function,
+    and ``fixed`` the positional inputs of its fixed rows.  Both functions
+    take the keyword options named in ``keywords``, as :meth:`options`
+    builds them.  ``trials`` names the config field with the trial count."""
 
     check_id: str
     draw: Callable
-    run: Callable
-    fixed: Callable
+    evaluate: Callable
+    public: Callable
+    fixed: tuple
+    keywords: tuple[str, ...]
+    derive: Callable | None = None
     trials: str = "trials"
+
+    def options(self, cfg: SuiteConfig, tally: OracleTally) -> dict:
+        """The keyword options of both functions under ``cfg``."""
+        values = {"tol": cfg.tol, "psd_tol": cfg.psd_tol, "tally": tally,
+                  "err_threshold": cfg.limit_err_threshold, "floor": cfg.limit_floor}
+        return {key: dyadic_grid(cfg.p_min_exp) if key == "p_grid" else values[key]
+                for key in self.keywords}
+
+    def run(self, cfg: SuiteConfig, tally: OracleTally, d: dict) -> list[CheckOutcome]:
+        """Evaluate a dict of stacked draws, which is left holding exactly
+        the inputs evaluated (passed by keyword, so a stray or missing one
+        fails): the witness of a failing trial."""
+        if self.derive is not None:
+            self.derive(d)
+        return self.evaluate(**d, **self.options(cfg, tally))
 
 
 _REGISTRY = (
-    _Check("means_identities", _trial_identities,
-           lambda cfg, tally, d: _means_identities(
-               d["A"], d["B"], d["t"], d["r"], d["s"], d["alpha"], d["beta"], cfg.tol),
-           lambda cfg, tally: [check_means_identities(_DIAG_A, _DIAG_B, 0.5, tol=cfg.tol)]),
-    _Check("similarity_witness", _trial_pair,
-           lambda cfg, tally, d: _similarity(d["A"], d["B"], d["t"], cfg.tol),
-           lambda cfg, tally: [check_similarity(
-               np.diag([2.0, 1.0]), np.diag([2.0, 1.0]), 0.3, tol=cfg.tol)]),
-    _Check("geometric_power_order", _trial_power,
-           lambda cfg, tally, d: _power_order("geometric_power_order", _metric_factor, False,
-                                              d["A"], d["B"], d["t"], d["r"], cfg.tol, tally),
-           lambda cfg, tally: [check_geometric_power(
-               _DIAG_A, _DIAG_B, 0.4, 2.0, tol=cfg.tol, tally=tally)]),
-    _Check("spectral_power_order", _trial_power,
-           lambda cfg, tally, d: _power_order("spectral_power_order", _nat_factor, True,
-                                              d["A"], d["B"], d["t"], d["r"], cfg.tol, tally),
-           lambda cfg, tally: [check_spectral_power(
-               _DIAG_A, _DIAG_B, 0.4, 2.0, tol=cfg.tol, tally=tally)]),
-    _Check("natlog_order", _trial_natlog, _run_natlog,
-           lambda cfg, tally: [check_natlog(_DIAG_A, _DIAG_B, 0.5, 1.0, tol=cfg.tol, tally=tally)]),
-    _Check("chain_order", partial(_trial_pair, power=1.0),
-           lambda cfg, tally, d: _chain(d["A"], d["B"], d["t"], cfg.tol, tally),
-           lambda cfg, tally: [check_chain(_DIAG_A, _DIAG_A, 0.7, tol=cfg.tol, tally=tally),
-                               check_chain(_DIAG_A, _DIAG_B, 0.0, tol=cfg.tol, tally=tally)]),
-    _Check("trace_descent", _trial_pair,
-           _run_exponential(lambda A, B, t, p_grid, tol, *_: _trace(A, B, t, p_grid, tol)),
-           lambda cfg, tally: [check_trace_corollary(
-               np.zeros((2, 2)), np.zeros((2, 2)), 0.5, dyadic_grid(cfg.p_min_exp), tol=cfg.tol)],
-           "limit_trials"),
-    _Check("limit_spectral", _trial_pair, _run_exponential(partial(_limit, "spectral")),
-           lambda cfg, tally: [check_limit_spectral(
-               _HERM_A, _HERM_A, 0.5, tally=tally, **_limit_options(cfg))],
-           "limit_trials"),
-    _Check("limit_sandwich", _trial_pair, _run_exponential(partial(_limit, "sandwich")),
-           lambda cfg, tally: [check_limit_sandwich(
-               _HERM_A, _HERM_B, 0.0, tally=tally, **_limit_options(cfg))],
-           "limit_trials"),
-    _Check("loewner_monotone_metric", _trial_loewner_monotone, _run_loewner_monotone,
-           lambda cfg, tally: [
-               check_loewner_monotone_geometric(
-                   _DIAG_A, _DIAG_B, _DIAG_A, _DIAG_B, 0.5, psd_tol=cfg.psd_tol),
-               check_loewner_monotone_geometric(
-                   np.array([[4.0]]), np.array([[9.0]]),
-                   np.array([[1.0]]), np.array([[1.0]]), 0.5, psd_tol=cfg.psd_tol)]),
-    _Check("loewner_heinz", _trial_heinz, _run_heinz,
-           lambda cfg, tally: [
-               check_loewner_heinz(_DIAG_A + np.eye(2), _DIAG_A, r, psd_tol=cfg.psd_tol)
-               for r in (1.0, 0.0)]),
-    _Check("lambda1_power_order", _trial_lambda1,
-           lambda cfg, tally, d: _lambda1(d["A"], d["B"], d["s"], cfg.tol, tally),
-           lambda cfg, tally: [check_lambda1(_DIAG_A, _DIAG_B, s, tol=cfg.tol, tally=tally)
-                               for s in (1.0, 0.0)]),
+    _Check("means_identities", _trial_identities, _means_identities, check_means_identities,
+           ((_DIAG_A, _DIAG_B, 0.5),), _TOL),
+    _Check("similarity_witness", _trial_pair, _similarity, check_similarity,
+           ((np.diag([2.0, 1.0]), np.diag([2.0, 1.0]), 0.3),), _TOL),
+    _Check("geometric_power_order", _trial_power, partial(_power_order, "geometric"),
+           check_geometric_power, ((_DIAG_A, _DIAG_B, 0.4, 2.0),), _ORACLE),
+    _Check("spectral_power_order", _trial_power, partial(_power_order, "spectral"),
+           check_spectral_power, ((_DIAG_A, _DIAG_B, 0.4, 2.0),), _ORACLE),
+    _Check("natlog_order", _trial_natlog, _natlog, check_natlog,
+           ((_DIAG_A, _DIAG_B, 0.5, 1.0),), _ORACLE),
+    _Check("chain_order", partial(_trial_pair, power=1.0), _chain, check_chain,
+           ((_DIAG_A, _DIAG_A, 0.7), (_DIAG_A, _DIAG_B, 0.0)), _ORACLE),
+    _Check("trace_descent", _trial_pair, _trace, check_trace_corollary,
+           ((np.zeros((2, 2)), np.zeros((2, 2)), 0.5),), ("p_grid", "tol"),
+           _exponents, "limit_trials"),
+    _Check("limit_spectral", _trial_pair, partial(_limit, "spectral"), check_limit_spectral,
+           ((_HERM_A, _HERM_A, 0.5),), _LIMIT, _exponents, "limit_trials"),
+    _Check("limit_sandwich", _trial_pair, partial(_limit, "sandwich"), check_limit_sandwich,
+           ((_HERM_A, _HERM_B, 0.0),), _LIMIT, _exponents, "limit_trials"),
+    _Check("loewner_monotone_metric", _trial_loewner_monotone, _loewner_monotone,
+           check_loewner_monotone_geometric,
+           ((_DIAG_A, _DIAG_B, _DIAG_A, _DIAG_B, 0.5),
+            (np.array([[4.0]]), np.array([[9.0]]), np.array([[1.0]]), np.array([[1.0]]), 0.5)),
+           _PSD, _dominated),
+    _Check("loewner_heinz", _trial_heinz, _heinz, check_loewner_heinz,
+           tuple((_DIAG_A + np.eye(2), _DIAG_A, r) for r in (1.0, 0.0)), _PSD, _dominating),
+    _Check("lambda1_power_order", _trial_lambda1, _lambda1, check_lambda1,
+           tuple((_DIAG_A, _DIAG_B, s) for s in (1.0, 0.0)), _ORACLE),
 )
 
 
@@ -1101,7 +1098,7 @@ def _check_rows(cfg: SuiteConfig, idx: int) -> tuple[list[CheckOutcome], OracleT
     """The fixed and randomized rows of registry check ``idx``, with the
     oracle tally of those rows alone."""
     check, tally = _REGISTRY[idx], OracleTally()
-    rows = check.fixed(cfg, tally)
+    rows = [check.public(*inputs, **check.options(cfg, tally)) for inputs in check.fixed]
     for j, out in enumerate(rows):
         out.trial, out.seed = -1 - j, cfg.seed
     rows.extend(_run_trials(cfg, idx, check, tally))

@@ -90,6 +90,19 @@ class TestMeanCommand:
                          "--t", "0.5", "--out", str(tmp_path / "o.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("singular", [np.diag([2.0, 0.0, 1.0]), np.outer([1.0, 2.0, 0.5],
+                                                                          [1.0, 2.0, 0.5])],
+                             ids=["diagonal", "rank-one"])
+    def test_singular_input_exits_2(self, tmp_path, capsys, singular):
+        bad = write(tmp_path, "singular.json", singular)
+        good = write(tmp_path, "g.json", np.eye(3))
+        out = tmp_path / "o.json"
+        for kind in ("sharp", "natural"):
+            assert cli.main(["mean", kind, good, bad, "--t", "0.5", "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: eigenvalue") and "relative floor" in err
+        assert not out.exists()
+
     def test_non_pd_input_exits_2(self, tmp_path, capsys):
         bad = write(tmp_path, "neg.json", np.diag([1.0, -1.0]))
         good = write(tmp_path, "g.json", np.eye(2))
@@ -194,6 +207,41 @@ class TestVerifyCommand:
         assert code == 2
         assert "s_grid" in capsys.readouterr().err
         assert not csv_path.exists() and not json_path.exists()
+
+    def test_flags_override_config_file_fields(self, tmp_path, capsys):
+        # the file's fields, each given flag on top; the others keep the file's value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"trials": 3, "limit_trials": 1, "dims": [2, 3]}))
+        json_path = tmp_path / "x.json"
+        code = cli.main(["verify", "--config", str(cfg_path), "--trials", "7", "--seed", "9",
+                         "--t", "0.5", "--out-csv", str(tmp_path / "x.csv"),
+                         "--out-json", str(json_path)])
+        assert code == 0
+        config = json.loads(json_path.read_text())["config"]
+        assert (config["trials"], config["seed"], config["t_grid"]) == (7, 9, [0.5])
+        assert (config["limit_trials"], config["dims"]) == (1, [2, 3])
+
+    def test_config_file_must_be_an_object(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[3]")
+        code = cli.main(["verify", "--config", str(cfg_path), "--trials", "1",
+                         "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: config must be a JSON object")
+
+    @pytest.mark.parametrize("p_min_exp", [58, 60])
+    def test_small_p_breakdown_is_named(self, tmp_path, capsys, p_min_exp):
+        # doubles overflow in the 1/p power of a limit member: exit 2, no report
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, csv_path, json_path = self.run_verify(
+                tmp_path, "s", extra=("--p-min-exp", str(p_min_exp), "--trials", "1",
+                                      "--limit-trials", "3"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the 1/p power of a limit family member overflows at p=")
+        assert "Warning" not in err
+        assert not os.path.exists(csv_path) and not os.path.exists(json_path)
 
     def test_config_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -301,6 +349,20 @@ class TestLimitCommand:
         traces = [float(r["trace_spectral"]) for r in rows]
         target = float(rows[0]["trace_target"])
         assert all(tr >= target * (1 - 1e-10) for tr in traces)
+
+    def test_small_p_breakdown_is_named(self, tmp_path, capsys):
+        a = write(tmp_path, "a.json", sample_pd(3, 1, 10.0))
+        b = write(tmp_path, "b.json", sample_pd(3, 2, 10.0))
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["limit", a, b, "--t", "0.3", "--p-min-exp", "60", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("error: the 1/p power of a limit family member overflows at "
+                       "p=1.73472e-18 (2^-59): doubles do not resolve the limit this close "
+                       "to p = 0\n")
+        assert not out.exists()
 
     def test_non_hermitian_input_exits_2(self, tmp_path, capsys):
         bad = write(tmp_path, "bad.json", np.array([[0.0, 1.0], [2.0, 0.0]]))

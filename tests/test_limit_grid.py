@@ -5,12 +5,23 @@ of a group no longer grows with the grid."""
 
 import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from spdmeans import OracleTally, SuiteConfig, compound_cross_check, matrixio, sample_pd
+from spdmeans import (
+    OracleTally,
+    SuiteConfig,
+    check_limit_sandwich,
+    check_limit_spectral,
+    check_trace_corollary,
+    compound_cross_check,
+    matrixio,
+    sample_pd,
+)
 from spdmeans.cli import main
+from spdmeans.errors import NumericBreakdown
 from spdmeans.linalg import _eigh, _exp, _power, pymax, spd, spectral_norm, spectrum_of_factor
 from spdmeans.means import _nat_factor, gram
 from spdmeans.suite import (
@@ -201,3 +212,14 @@ def test_group_call_count_does_not_grow_with_the_grid(n, monkeypatch):
             counts.append(dict(calls))
         assert counts[0] == counts[1], name
         assert sum(counts[0].values()) > 0
+
+
+@pytest.mark.parametrize("check", [check_trace_corollary, check_limit_spectral,
+                                   check_limit_sandwich])
+def test_overflowing_1_over_p_power_names_its_p(check):
+    # near p = 2^-60 a member's spectrum is 1 + O(eps), whose 1/p power overflows
+    A, B = sample_pd(3, 1, 10.0), sample_pd(3, 2, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericBreakdown, match=r"overflows at p=\S+ \(2\^-(59|60)\)"):
+            check(A, B, 0.3, dyadic_grid(60))

@@ -9,13 +9,14 @@ from spdmeans import (
     hermitize,
     mat_power,
     metric_mean,
+    metric_mean_factor,
     sample_pd,
     similarity_witness,
     spectral_mean,
     spectral_mean_factor,
     spectrum_of_factor,
 )
-from spdmeans.errors import DimensionMismatch
+from spdmeans.errors import DimensionMismatch, NonPositiveSpectrum
 from spdmeans.suite import NATLOG_COUNTEREXAMPLE
 
 
@@ -208,3 +209,37 @@ class TestSimilarityWitness:
         spec_sharp = np.linalg.eigvalsh(metric_mean(A, B, 0.5))[::-1]
         spec_target = np.sort(np.linalg.eigvals(wit.target).real)[::-1]
         np.testing.assert_allclose(spec_target, spec_sharp, rtol=1e-9)
+
+
+def rank_deficient(n: int, k: int, seed: int) -> np.ndarray:
+    """The Gram matrix F F* of a complex n x k factor, k < n."""
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    return hermitize(F @ F.conj().T)
+
+
+SINGULAR = {
+    "gram-4x2": rank_deficient(4, 2, 1),
+    "gram-4x3": rank_deficient(4, 3, 2),
+    "gram-4x1": rank_deficient(4, 1, 3),
+    "diagonal": np.diag([2.0, 0.0, 1.0, 3.0]),
+}
+
+
+@pytest.mark.parametrize("fn", [metric_mean, spectral_mean, metric_mean_factor,
+                                spectral_mean_factor, g_factor, similarity_witness])
+@pytest.mark.parametrize("singular", SINGULAR.values(), ids=SINGULAR)
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_singular_operand_raises_nonpositive_spectrum(fn, singular, side):
+    # the PD floor names the failure; no LAPACK LinAlgError escapes
+    good = sample_pd(4, 5, 10.0)
+    A, B = (singular, good) if side == "A" else (good, singular)
+    with pytest.raises(NonPositiveSpectrum):
+        fn(A, B, 0.3)
+
+
+@pytest.mark.parametrize("singular", SINGULAR.values(), ids=SINGULAR)
+@pytest.mark.parametrize("r", [0.5, 0.0, -1.0])
+def test_singular_mat_power_raises_nonpositive_spectrum(singular, r):
+    with pytest.raises(NonPositiveSpectrum):
+        mat_power(singular, r)

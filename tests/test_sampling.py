@@ -7,7 +7,7 @@ bitwise numpy's."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdmeans import OracleTally, SuiteConfig, sample_pd
@@ -85,6 +85,12 @@ def test_rng_keys_in_bulk_match_default_rng():
         assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
 
 
+def test_hypothesis_profile_is_derandomized():
+    # loaded by tests/conftest.py, so every run draws the same examples
+    assert settings.default.derandomize and settings.default.database is None
+    assert settings.default.deadline is None
+
+
 @given(st.integers(min_value=0, max_value=2**256 - 1))
 def test_any_seed_below_2_256(seed):
     assert np.array_equal(seed_hash(words([seed]), 8)[0],
@@ -131,12 +137,13 @@ def test_run_trials_hands_checks_the_reference_draws(idx, n, seed):
     check = _REGISTRY[idx]
     seen = []
 
-    def record(cfg, tally, d):
+    def record(**d):
         seen.append({key: v.copy() for key, v in d.items()})
         k = len(next(iter(d.values())))
         return [CheckOutcome(check.check_id, True, 0.0) for _ in range(k)]
 
-    list(_run_trials(cfg, idx, check._replace(run=record), OracleTally()))
+    raw = check._replace(derive=None, evaluate=record, keywords=())
+    list(_run_trials(cfg, idx, raw, OracleTally()))
     assert len(seen) == 1
     ref = reference_trials(check, cfg, idx)
     assert list(seen[0]) == list(ref)

@@ -3,7 +3,6 @@
 import dataclasses
 import inspect
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -42,6 +41,7 @@ from spdmeans.suite import (
     _run_trials,
     _s_choices,
     dyadic_grid,
+    is_failure,
     s_provable_bound,
 )
 
@@ -142,6 +142,14 @@ class TestNatlog:
             check_natlog(DIAG_A, DIAG_B, 1.0 / 3.0, 2.1)
         out = check_natlog(*NATLOG_COUNTEREXAMPLE_ARGS, force=True)
         assert not out.verdict
+
+    def test_forced_row_beyond_the_bound_is_informational(self):
+        # as in the battery: flagged out of range, so a false verdict is no failure
+        out = check_natlog(*NATLOG_COUNTEREXAMPLE_ARGS, force=True)
+        assert not out.verdict
+        assert out.detail["out_of_range"] == 1.0 and not is_failure(out)
+        inside = check_natlog(DIAG_A, DIAG_B, 1.0 / 3.0, 1.5, force=True)
+        assert "out_of_range" not in inside.detail
 
     def test_gate_wider_than_provable_bound_is_refuted(self):
         # the gate min(1/t, 2) admits genuine counterexamples for t < 1/2,
@@ -527,48 +535,27 @@ class TestRunSuite:
         assert isinstance(out.detail, dict)
 
 
-def public_check(check_id: str, cfg: SuiteConfig):
-    """The public function of a battery check with the options the battery
-    evaluates it with; a witness supplies the remaining arguments."""
-    tol = {"tol": cfg.tol}
-    limit = {"p_grid": dyadic_grid(cfg.p_min_exp), **tol}
-    limit_err = {**limit, "err_threshold": cfg.limit_err_threshold, "floor": cfg.limit_floor}
-    return {
-        "means_identities": partial(check_means_identities, **tol),
-        "similarity_witness": partial(check_similarity, **tol),
-        "geometric_power_order": partial(check_geometric_power, **tol),
-        "spectral_power_order": partial(check_spectral_power, **tol),
-        "natlog_order": partial(check_natlog, **tol, force=True),
-        "chain_order": partial(check_chain, **tol),
-        "trace_descent": partial(check_trace_corollary, **limit),
-        "limit_spectral": partial(check_limit_spectral, **limit_err),
-        "limit_sandwich": partial(check_limit_sandwich, **limit_err),
-        "loewner_monotone_metric": partial(check_loewner_monotone_geometric, psd_tol=cfg.psd_tol),
-        "loewner_heinz": partial(check_loewner_heinz, psd_tol=cfg.psd_tol),
-        "lambda1_power_order": partial(check_lambda1, **tol),
-    }[check_id]
-
-
 @pytest.mark.parametrize("idx", range(len(_REGISTRY)), ids=[c.check_id for c in _REGISTRY])
 def test_witness_replays_its_row(idx):
     """Every row is marked failing, so every row gets a witness; the
-    witness holds the leading arguments of the public check, in order,
-    and replays the row's worst margin bitwise.  Trial 16 of
-    means_identities has its homogeneity identity, which depends on alpha
-    and beta, as its worst margin."""
+    witness holds the leading arguments of the registry's public check, in
+    order, and with the registry's options replays the row's worst margin
+    bitwise.  Trial 16 of means_identities has its homogeneity identity,
+    which depends on alpha and beta, as its worst margin."""
     cfg = SuiteConfig(seed=1, trials=40, limit_trials=8, p_min_exp=6)
     check = _REGISTRY[idx]
 
-    def failing(cfg, tally, d):
-        outs = check.run(cfg, tally, d)
+    def failing(**inputs):
+        outs = check.evaluate(**inputs)
         for out in outs:
             out.verdict = False
         return outs
 
-    replay = public_check(check.check_id, cfg)
-    params = list(inspect.signature(replay.func).parameters)
-    outs = list(_run_trials(cfg, idx, check._replace(run=failing), OracleTally()))
+    options = check.options(cfg, OracleTally())
+    params = list(inspect.signature(check.public).parameters)
+    outs = list(_run_trials(cfg, idx, check._replace(evaluate=failing), OracleTally()))
     assert len(outs) == getattr(cfg, check.trials)
     for out in outs:
         assert list(out.witness) == params[:len(out.witness)]
-        assert replay(**out.witness).worst_margin.hex() == out.worst_margin.hex(), out.trial
+        replay = check.public(**out.witness, **options)
+        assert replay.worst_margin.hex() == out.worst_margin.hex(), out.trial

@@ -86,15 +86,16 @@ def test_a_failed_fork_leaves_its_checks_to_the_caller(serial, monkeypatch):
 
 
 def raising(idx):
-    def fixed(cfg, tally):
+    def public(*inputs, **options):
         raise NumericBreakdown(f"check {idx} broke down")
-    return fixed
+    return public
 
 
-def patch_registry(monkeypatch, fixed: dict):
+def patch_registry(monkeypatch, public: dict):
+    """Replace the public function, which makes the fixed rows, of some checks."""
     patched = list(_REGISTRY)
-    for idx, replacement in fixed.items():
-        patched[idx] = patched[idx]._replace(fixed=replacement)
+    for idx, replacement in public.items():
+        patched[idx] = patched[idx]._replace(public=replacement)
     monkeypatch.setattr(suite, "_REGISTRY", tuple(patched))
 
 
@@ -111,7 +112,7 @@ def test_the_first_error_in_registry_order_is_raised(workers, failing, monkeypat
 
 @fork_only
 def test_a_worker_that_dies_without_a_result_is_an_error(monkeypatch):
-    patch_registry(monkeypatch, {1: lambda cfg, tally: os._exit(3)})   # check 1: the child
+    patch_registry(monkeypatch, {1: lambda *inputs, **options: os._exit(3)})   # check 1: the child
     with pytest.raises(ChildProcessError, match="ended without a result"):
         registry_rows(2)
     assert_no_children()
