@@ -103,9 +103,9 @@ def row_power(w: np.ndarray, e) -> np.ndarray:
     if e.ndim == 0:
         return w ** float(e)
     out = np.empty_like(w)
-    for v in np.unique(e):
+    for v in sorted(set(e.tolist())):   # np.unique would import numpy.ma
         rows = e == v
-        out[rows] = w[rows] ** float(v)
+        out[rows] = w[rows] ** v
     return out
 
 

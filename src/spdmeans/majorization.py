@@ -21,6 +21,7 @@ from .errors import (
     LengthMismatch,
     NegativeEntry,
     NonrealSpectrum,
+    NumericBreakdown,
 )
 from .linalg import _compound, _eigh, is_hermitian, pymax, require_square, unbatch
 
@@ -159,10 +160,14 @@ def ky_fan_norm(X, k: int):
 def _compound_spectra(X: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
     """What the compound oracle needs of each matrix of a validated stack:
     the top eigenvalues of the compounds ``C_k``, k = 1..n, the ratio
-    lambda_1 / lambda_n behind the determinant slack, and the determinant."""
+    lambda_1 / lambda_n behind the determinant slack, and the determinant.
+    Where a compound's minors overflow, NumericBreakdown names the order."""
     tops = []
     for k in range(1, X.shape[-1] + 1):
-        C = _compound(X, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            C = _compound(X, k)
+        if not np.isfinite(C).all():
+            raise NumericBreakdown(f"the compound oracle's order-{k} minors overflow doubles")
         w = np.linalg.eigvalsh(C)
         if k == 1:
             kappa = w[..., -1] / pymax(w[..., 0], _EPS * w[..., -1])

@@ -1003,11 +1003,12 @@ class _Check(NamedTuple):
     popping the raw draws consumed); ``public`` is the check_* function,
     and ``fixed`` the positional inputs of its fixed rows.  Both functions
     take the keyword options named in ``keywords``, as :meth:`options`
-    builds them.  ``trials`` names the config field with the trial count."""
+    builds them.  ``trials`` names the config field with the trial count.
+    A fixture, which has fixed rows only, has no ``draw`` or ``evaluate``."""
 
     check_id: str
-    draw: Callable
-    evaluate: Callable
+    draw: Callable | None
+    evaluate: Callable | None
     public: Callable
     fixed: tuple
     keywords: tuple[str, ...]
@@ -1059,6 +1060,8 @@ _REGISTRY = (
            tuple((_DIAG_A + np.eye(2), _DIAG_A, r) for r in (1.0, 0.0)), _PSD, _dominating),
     _Check("lambda1_power_order", _trial_lambda1, _lambda1, check_lambda1,
            tuple((_DIAG_A, _DIAG_B, s) for s in (1.0, 0.0)), _ORACLE),
+    _Check("counterexample_natlog", None, None, check_natlog_counterexample, ((),), _ORACLE),
+    _Check("counterexample_monotone", None, None, check_spectral_not_monotone, ((),), _PSD),
 )
 
 
@@ -1067,7 +1070,7 @@ def _run_trials(cfg: SuiteConfig, idx: int, check: _Check, tally: OracleTally):
     as ``default_rng(SeedSequence([seed, idx, k]).generate_state(1)[0])``),
     then evaluate the trials of each dimension in stacks of at most
     ``_STACK_ENTRIES`` matrix entries."""
-    n_trials = 0 if cfg.trials == 0 else int(getattr(cfg, check.trials))
+    n_trials = 0 if cfg.trials == 0 or check.draw is None else int(getattr(cfg, check.trials))
     entropy = seed_words(cfg.seed) + seed_words(idx)
     words = np.empty((n_trials, len(entropy) + 1), dtype=np.uint32)
     words[:, :-1] = entropy
@@ -1179,18 +1182,14 @@ def run_suite(config: SuiteConfig | None = None) -> list[CheckOutcome]:
     Deterministic in the config (each trial owns a generator derived from
     (seed, check index, trial index)); results are sorted by check id and
     trial index.  With trials=0 only the fixed-input rows are produced.
-    The registry checks run in one process per available CPU (at most one
-    per check); the result does not depend on how many.
+    The registry checks, fixtures last, run in one process per available
+    CPU (at most one per check); the result does not depend on how many.
     """
     cfg = config if config is not None else SuiteConfig()
     cfg.validate()
     tally = OracleTally()
-    outcomes = [check_natlog_counterexample(tol=cfg.tol, tally=tally),
-                check_spectral_not_monotone(psd_tol=cfg.psd_tol)]
-    for out in outcomes:
-        out.seed = cfg.seed
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    outcomes += _registry_rows(cfg, cpus or 1, tally)
+    outcomes = _registry_rows(cfg, cpus or 1, tally)
 
     outcomes.append(CheckOutcome(
         check_id="oracle_agreement",

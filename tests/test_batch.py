@@ -51,7 +51,7 @@ def draws(check, cfg: SuiteConfig, n: int, k: int) -> list[dict]:
     return trials
 
 
-@pytest.mark.parametrize("check", _REGISTRY, ids=lambda c: c.check_id)
+@pytest.mark.parametrize("check", [c for c in _REGISTRY if c.draw], ids=lambda c: c.check_id)
 @pytest.mark.parametrize("n", [1, 3, 4, 6])
 def test_group_matches_batches_of_one(check, n):
     cfg = SuiteConfig(seed=5, p_min_exp=4)

@@ -1,6 +1,7 @@
 """Tests for majorization orderings, Ky Fan norms and the compound oracle."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from spdmeans import (
     spectral_mean,
     weak_majorizes,
 )
-from spdmeans.errors import BadOrder, LengthMismatch, NegativeEntry, NonrealSpectrum
+from spdmeans.errors import BadOrder, LengthMismatch, NegativeEntry, NonrealSpectrum, NumericBreakdown
 from spdmeans.suite import NATLOG_COUNTEREXAMPLE
 
 
@@ -228,3 +229,14 @@ class TestCompoundCrossCheck:
         P = sample_pd(6, 95, 10.0)
         with pytest.raises(BadOrder):
             compound_cross_check(P, P)
+
+    def test_overflowing_minors_are_a_named_breakdown(self):
+        """Finite entries whose minors overflow, as the limit members' do at
+        p_min_exp 56, raise before eigvalsh sees them, without a warning."""
+        big = np.diag([1e200, 1e160])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericBreakdown, match="compound oracle's order-2 minors"):
+                compound_cross_check(big, big)
+            with pytest.raises(NumericBreakdown, match="order-2"):
+                compound_cross_check(np.eye(2), big)

@@ -535,7 +535,8 @@ class TestRunSuite:
         assert isinstance(out.detail, dict)
 
 
-@pytest.mark.parametrize("idx", range(len(_REGISTRY)), ids=[c.check_id for c in _REGISTRY])
+@pytest.mark.parametrize("idx", [i for i, c in enumerate(_REGISTRY) if c.draw],
+                         ids=[c.check_id for c in _REGISTRY if c.draw])
 def test_witness_replays_its_row(idx):
     """Every row is marked failing, so every row gets a witness; the
     witness holds the leading arguments of the registry's public check, in

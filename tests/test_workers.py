@@ -110,6 +110,33 @@ def test_the_first_error_in_registry_order_is_raised(workers, failing, monkeypat
     assert_no_children()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fixture, check", [("counterexample_natlog", 5),
+                                            ("counterexample_monotone", 4)])
+def test_a_check_error_wins_over_a_fixture_error(workers, fixture, check, monkeypatch):
+    """The fixtures are the last registry entries; with two workers the
+    fixture and the check raise in different processes."""
+    idx = [c.check_id for c in _REGISTRY].index(fixture)
+    patch_registry(monkeypatch, {idx: raising(idx), check: raising(check)})
+    with pytest.raises(NumericBreakdown, match=f"^check {check} broke down$"):
+        registry_rows(workers)
+    assert_no_children()
+
+
+def test_every_run_suite_row_comes_from_a_registry_entry():
+    rows = run_suite(SuiteConfig(trials=2, limit_trials=1))
+    assert ({out.check_id for out in rows}
+            == {check.check_id for check in _REGISTRY} | {"oracle_agreement"})
+
+
+def test_the_natlog_fixture_has_its_own_oracle_tally():
+    idx = [c.check_id for c in _REGISTRY].index("counterexample_natlog")
+    rows, tally = suite._check_rows(CFG, idx)
+    assert [(out.check_id, out.trial, out.seed) for out in rows] == [
+        ("counterexample_natlog", -1, CFG.seed)]
+    assert tally.comparisons > 0 and tally.mismatches == 0
+
+
 @fork_only
 def test_a_worker_that_dies_without_a_result_is_an_error(monkeypatch):
     patch_registry(monkeypatch, {1: lambda *inputs, **options: os._exit(3)})   # check 1: the child
@@ -137,3 +164,19 @@ def test_importing_the_package_loads_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_run_does_not_import_numpy_ma():
+    """numpy.ma, which np.unique imports on first use, costs each forked
+    worker about 14 ms; on one CPU every check runs in the process asked."""
+    code = ("import os, sys\n"
+            "if hasattr(os, 'sched_setaffinity'):\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from spdmeans import SuiteConfig, run_suite\n"
+            "run_suite(SuiteConfig(trials=2, limit_trials=1))\n"
+            "print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
