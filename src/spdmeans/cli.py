@@ -24,7 +24,7 @@ import numpy as np
 
 from . import matrixio
 from .errors import SpdMeansError
-from .linalg import require_hermitian, require_pd, sample_pd, spectral_norm
+from .linalg import require_hermitian, require_same_shape, sample_pd, spectral_norm
 from .means import _check_weight, metric_mean, spectral_mean
 from .suite import (
     MONOTONE_COUNTEREXAMPLE,
@@ -56,19 +56,13 @@ def _print_matrix(label: str, M: np.ndarray) -> None:
         print("  " + "  ".join(f"{v: .6f}" for v in row.real))
 
 
-def _load_pd(path: str) -> np.ndarray:
-    return require_pd(matrixio.read_matrix(path))
-
-
 def _load_hermitian(path: str) -> np.ndarray:
     return require_hermitian(matrixio.read_matrix(path))
 
 
 def _cmd_mean(args) -> int:
-    A = _load_pd(args.a_file)
-    B = _load_pd(args.b_file)
     fn = metric_mean if args.kind == "sharp" else spectral_mean
-    M = fn(A, B, args.t)
+    M = fn(matrixio.read_matrix(args.a_file), matrixio.read_matrix(args.b_file), args.t)
     matrixio.write_matrix(_resolve(args.out), M)
     w = np.linalg.eigvalsh(M)[::-1]
     print("eigenvalues: " + " ".join(matrixio.format_float(v) for v in w))
@@ -143,8 +137,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    A = _load_hermitian(args.a_file)
-    B = _load_hermitian(args.b_file)
+    A, B = require_same_shape(_load_hermitian(args.a_file), _load_hermitian(args.b_file))
     A, B, t = A[None], B[None], np.array([_check_weight(args.t, "t")])
     grid = dyadic_grid(args.p_min_exp)
     target = limit_target(A, B, t)

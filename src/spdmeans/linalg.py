@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BadOrder, EigFailure, NonHermitianInput, NonPositiveSpectrum
+from .errors import BadOrder, DimensionMismatch, EigFailure, NonHermitianInput, NonPositiveSpectrum
 
 # Tolerances (absolute-plus-relative where a norm scale exists).
 ETA_HERM = 1e-10     # Hermitian symmetry defect
@@ -67,6 +67,15 @@ def require_square(X, name: str = "matrix") -> np.ndarray:
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise NonHermitianInput(f"{name} must be square, got shape {X.shape}")
     return X
+
+
+def require_same_shape(*Xs) -> list[np.ndarray]:
+    """The operands as ndarrays; DimensionMismatch unless all have one shape."""
+    Xs = [np.asarray(X) for X in Xs]
+    for X in Xs[1:]:
+        if X.shape != Xs[0].shape:
+            raise DimensionMismatch(f"operand shapes differ: {Xs[0].shape} vs {X.shape}")
+    return Xs
 
 
 def is_hermitian(X, tol: float = ETA_HERM):
@@ -149,13 +158,6 @@ def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:
 def pd_eig(P) -> tuple[np.ndarray, np.ndarray]:
     """hermitian_eig plus the positive-definite spectrum floor."""
     return _pd_eigh(require_hermitian(P))
-
-
-def require_pd(P) -> np.ndarray:
-    """Validate the positive definite invariant and return P as an ndarray."""
-    P = np.asarray(P)
-    pd_eig(P)
-    return P
 
 
 def from_eig(U: np.ndarray, f: np.ndarray) -> np.ndarray:

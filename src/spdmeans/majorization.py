@@ -16,14 +16,14 @@ import numpy as np
 
 from .errors import (
     BadOrder,
-    DimensionMismatch,
     EigFailure,
     LengthMismatch,
     NegativeEntry,
     NonrealSpectrum,
     NumericBreakdown,
 )
-from .linalg import _compound, _eigh, is_hermitian, pymax, require_square, unbatch
+from .linalg import (_compound, _eigh, is_hermitian, pymax, require_same_shape, require_square,
+                     unbatch)
 
 TAU_MAJ = 1e-9         # default slack: absolute on sums, log-space absolute
 LOG_FLOOR = 1e-300     # entries below this are rejected before taking logs
@@ -199,10 +199,7 @@ def compound_cross_check(X, Y, tol: float = TAU_MAJ):
     Restricted to n <= 5 because the compounds grow combinatorially.  On
     stacks the verdict is per pair of matrices.
     """
-    X = require_square(X, "X")
-    Y = require_square(Y, "Y")
-    if X.shape != Y.shape:
-        raise DimensionMismatch(f"operand shapes differ: {X.shape} vs {Y.shape}")
+    X, Y = require_same_shape(require_square(X, "X"), require_square(Y, "Y"))
     if X.shape[-1] > 5:
         raise BadOrder(f"compound cross check limited to n <= 5, got {X.shape[-1]}")
     return unbatch(_compound_order(_compound_spectra(X), _compound_spectra(Y), tol))

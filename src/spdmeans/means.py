@@ -27,17 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericBreakdown
-from .linalg import Spd, ct, from_eig, hermitize, require_hermitian, row_power, spd
+from .errors import NumericBreakdown
+from .linalg import (Spd, ct, from_eig, hermitize, require_hermitian, require_same_shape,
+                     row_power, spd)
 
 _SINGULAR_FLOOR = 1e4 * np.finfo(float).eps
 
 
 def _operands(A, B) -> tuple[Spd, Spd]:
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"operand shapes differ: {A.shape} vs {B.shape}")
+    A, B = require_same_shape(A, B)
     return spd(require_hermitian(A)), spd(require_hermitian(B))
 
 
@@ -61,8 +59,7 @@ def _metric_factor(a: Spd, b: Spd, t) -> np.ndarray:
 
 def metric_mean_factor(A, B, t: float) -> np.ndarray:
     """Gram factor F with metric_mean(A, B, t) = F F*."""
-    t = _check_weight(t)
-    return _metric_factor(*_operands(A, B), t)
+    return _metric_factor(*_operands(A, B), _check_weight(t))
 
 
 def metric_mean(A, B, t: float) -> np.ndarray:
@@ -100,15 +97,13 @@ def g_factor(A, B, t: float) -> np.ndarray:
 
     Satisfies spectral_mean(A, B, t) = G_t A G_t.
     """
-    t = _check_weight(t)
     w, U = _inv_sharp(*_operands(A, B))
-    return from_eig(U, row_power(w, t))
+    return from_eig(U, row_power(w, _check_weight(t)))
 
 
 def spectral_mean_factor(A, B, t: float) -> np.ndarray:
     """Gram factor F with spectral_mean(A, B, t) = F F*."""
-    t = _check_weight(t)
-    return _nat_factor(*_operands(A, B), t)
+    return _nat_factor(*_operands(A, B), _check_weight(t))
 
 
 def spectral_mean(A, B, t: float) -> np.ndarray:
@@ -165,5 +160,4 @@ def similarity_witness(A, B, t: float) -> SimilarityWitness:
     U equals the adjoint of the unitary polar factor of R and is computed
     that way (via the SVD of R) for stability.
     """
-    t = _check_weight(t)
-    return _similarity_witness(*_operands(A, B), t)
+    return _similarity_witness(*_operands(A, B), _check_weight(t))

@@ -33,7 +33,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import NumericBreakdown, PreconditionNotMet, SOutOfRange
+from .errors import DimensionMismatch, NumericBreakdown, PreconditionNotMet, SOutOfRange
 from .linalg import (
     _eigh,
     _exp,
@@ -44,13 +44,13 @@ from .linalg import (
     from_eig,
     generators,
     hermitize,
-    mat_power,
     max_abs,
     pd_compose,
     pd_draws,
     power_from_eig,
     pymax,
     require_hermitian,
+    require_same_shape,
     require_seed,
     rng_keys,
     row_power,
@@ -69,7 +69,6 @@ from .means import (
     _similarity_witness,
     _spectral_factor,
     gram,
-    spectral_mean,
 )
 
 TAU_SIM = 1e-8       # similarity-witness residual, relative
@@ -278,8 +277,11 @@ def _equality(X, Y) -> np.ndarray:
     return -max_abs(X - Y) / pymax(pymax(max_abs(X), max_abs(Y)), 1e-30)
 
 
-def _psd_margin(diff, reference_top) -> np.ndarray:
-    return np.linalg.eigvalsh(hermitize(diff))[..., 0] / reference_top
+def _psd_margin(X, Y) -> np.ndarray:
+    """How far X >= Y holds in the Loewner order, per matrix:
+    lambda_min(X - Y) / lambda_1(X)."""
+    top = np.linalg.eigvalsh(hermitize(X))[..., -1]
+    return np.linalg.eigvalsh(hermitize(X - Y))[..., 0] / pymax(top, 1e-30)
 
 
 def _first_min(values, default=None):
@@ -305,7 +307,10 @@ def _outcomes(check_id: str, tol: float, cols: dict) -> list[CheckOutcome]:
 
 
 def _one(*matrices) -> list[np.ndarray]:
-    """Validated matrices of a public check, as stacks of one."""
+    """Validated n x n matrices of a public check, of one shape, as stacks of one."""
+    matrices = require_same_shape(*matrices)
+    if matrices[0].ndim != 2:
+        raise DimensionMismatch(f"a check takes n x n matrices, got shape {matrices[0].shape}")
     return [require_hermitian(M)[None] for M in matrices]
 
 
@@ -627,19 +632,16 @@ def check_limit_sandwich(A, B, t: float, p_grid, tol: float = 1e-8, err_threshol
 # --------------------------------------------------------------------------
 
 def _require_loewner(X, Y, psd_tol: float, what: str) -> None:
-    wx = np.linalg.eigvalsh(hermitize(X - Y))
-    top = np.linalg.eigvalsh(hermitize(X))[..., -1]
-    if np.any(wx[..., 0] < -psd_tol * pymax(top, 1e-30)):
+    """A public Loewner check's hypothesis X >= Y.  The group evaluators take
+    it as given: the battery derives ordered pairs (``_dominated``, ``_dominating``)."""
+    if any_true(_psd_margin(X, Y) < -psd_tol):
         raise PreconditionNotMet(f"{what} is not Loewner-ordered")
 
 
 def _loewner_monotone(A, B, C, D, t, psd_tol):
-    _require_loewner(A, C, psd_tol, "A vs C")
-    _require_loewner(B, D, psd_tol, "B vs D")
     top_pair = gram(_metric_factor(spd(A), spd(B), t))
     bottom_pair = gram(_metric_factor(spd(C), spd(D), t))
-    ref = np.linalg.eigvalsh(top_pair)[..., -1]
-    cols = {"t": t, "psd_margin": _psd_margin(top_pair - bottom_pair, ref)}
+    cols = {"t": t, "psd_margin": _psd_margin(top_pair, bottom_pair)}
     return _outcomes("loewner_monotone_metric", psd_tol, cols)
 
 
@@ -648,20 +650,22 @@ def check_loewner_monotone_geometric(
 ) -> CheckOutcome:
     """Joint Loewner monotonicity of the metric mean: A >= C and B >= D
     imply metric_mean(A, B, t) >= metric_mean(C, D, t)."""
-    return _loewner_monotone(*_one(A, B, C, D), *_col(_check_weight(t)), psd_tol)[0]
+    (A, B, C, D), (t,) = _one(A, B, C, D), _col(_check_weight(t))
+    _require_loewner(A, C, psd_tol, "A vs C")
+    _require_loewner(B, D, psd_tol, "B vs D")
+    return _loewner_monotone(A, B, C, D, t, psd_tol)[0]
 
 
 def _heinz(A, B, r, psd_tol):
-    _require_loewner(A, B, psd_tol, "A vs B")
-    Ar, Br = _power(A, r), _power(B, r)
-    ref = pymax(np.linalg.eigvalsh(Ar)[..., -1], 1e-30)
-    cols = {"r": r, "psd_margin": _psd_margin(Ar - Br, ref)}
+    cols = {"r": r, "psd_margin": _psd_margin(_power(A, r), _power(B, r))}
     return _outcomes("loewner_heinz", psd_tol, cols)
 
 
 def check_loewner_heinz(A, B, r: float, psd_tol: float = 1e-9) -> CheckOutcome:
     """A >= B >= 0 implies A^r >= B^r for r in [0, 1]."""
-    return _heinz(*_one(A, B), *_col(_check_weight(r, "r")), psd_tol)[0]
+    (A, B), (r,) = _one(A, B), _col(_check_weight(r, "r"))
+    _require_loewner(A, B, psd_tol, "A vs B")
+    return _heinz(A, B, r, psd_tol)[0]
 
 
 def _lambda1(A, B, s, tol, tally):
@@ -794,11 +798,12 @@ def check_natlog_counterexample(
     reference values."""
     ce = NATLOG_COUNTEREXAMPLE
     A, B, t, s = ce["A"], ce["B"], ce["t"], ce["s"]
-    out = check_natlog(A, B, t, s, tol=tol, force=True, tally=tally)
+    out = _natlog(*_one(A, B), *_col(t, s), tol, tally)[0]
     out.check_id, out.witness = "counterexample_natlog", {"A": A, "B": B, "t": t, "s": s}
-    F_mid = mat_power(B, t * s / 2.0) @ mat_power(A, (1.0 - t) * s / 2.0)
-    sandwich = mat_power(gram(F_mid), 1.0 / s)
-    nat = spectral_mean(A, B, t)
+    a, b = spd(A), spd(B)
+    F_mid = power_from_eig(b.w, b.U, t * s / 2.0) @ power_from_eig(a.w, a.U, (1.0 - t) * s / 2.0)
+    sandwich = _power(gram(F_mid), 1.0 / s)
+    nat = gram(_nat_factor(a, b, t))
     d = out.detail
     d["delta_spectrum_sandwich"] = _delta(np.linalg.eigvalsh(sandwich)[::-1],
                                           ce["printed_sandwich_spectrum"])
@@ -816,14 +821,14 @@ def check_spectral_not_monotone(psd_tol: float = 1e-9) -> CheckOutcome:
     the reference values reproduced."""
     ce = MONOTONE_COUNTEREXAMPLE
     A, B1, B2, t = ce["A"], ce["B1"], ce["B2"], ce["t"]
-    N1 = spectral_mean(A, B1, t)
-    N2 = spectral_mean(A, B2, t)
-    eigs = np.sort(np.linalg.eigvalsh(N1 - N2))
-    margin = float(eigs[0]) / float(np.linalg.eigvalsh(N1)[-1])
+    a = spd(A)
+    N1, N2 = (gram(_nat_factor(a, spd(B), t)) for B in (B1, B2))
+    margin = float(_psd_margin(N1, N2))
     detail = {"t": t, "b1_ge_b2": float(np.linalg.eigvalsh(B1 - B2)[0]), "psd_margin": margin,
               "delta_entries_mean_b1": _delta(N1, ce["printed_mean_b1"]),
               "delta_entries_mean_b2": _delta(N2, ce["printed_mean_b2"]),
-              "delta_diff_eigs": _delta(eigs, np.sort(ce["printed_diff_eigs"]))}
+              "delta_diff_eigs": _delta(np.linalg.eigvalsh(N1 - N2),
+                                        np.sort(ce["printed_diff_eigs"]))}
     detail["reproduction_ok"] = float(
         detail["b1_ge_b2"] >= -psd_tol and _reproduced("counterexample_monotone", detail))
     return CheckOutcome(

@@ -364,6 +364,14 @@ class TestLimitCommand:
                        "to p = 0\n")
         assert not out.exists()
 
+    def test_mismatched_shapes_exit_2(self, tmp_path, capsys):
+        a = write(tmp_path, "a.json", np.diag([0.3, -0.2]))
+        b = write(tmp_path, "b.json", np.diag([0.3, -0.2, 0.1]))
+        out = tmp_path / "x.csv"
+        assert cli.main(["limit", a, b, "--t", "0.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: operand shapes differ: (2, 2) vs (3, 3)\n"
+        assert not out.exists()
+
     def test_non_hermitian_input_exits_2(self, tmp_path, capsys):
         bad = write(tmp_path, "bad.json", np.array([[0.0, 1.0], [2.0, 0.0]]))
         code = cli.main(["limit", bad, bad, "--t", "0.5",

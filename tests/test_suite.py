@@ -31,13 +31,14 @@ from spdmeans import (
     sample_pd,
     summarize,
 )
-from spdmeans.errors import PreconditionNotMet, SOutOfRange
+from spdmeans.errors import DimensionMismatch, PreconditionNotMet, SOutOfRange
 from spdmeans.suite import (
     _REGISTRY,
     MONOTONE_COUNTEREXAMPLE,
     NATLOG_COUNTEREXAMPLE,
     REPRODUCTION,
     _beyond_bound,
+    _psd_margin,
     _run_trials,
     _s_choices,
     dyadic_grid,
@@ -560,3 +561,43 @@ def test_witness_replays_its_row(idx):
         assert list(out.witness) == params[:len(out.witness)]
         replay = check.public(**out.witness, **options)
         assert replay.worst_margin.hex() == out.worst_margin.hex(), out.trial
+
+
+@pytest.mark.parametrize("check", [c for c in _REGISTRY if c.fixed[0]], ids=lambda c: c.check_id)
+def test_public_check_takes_single_matrices_of_one_shape(check):
+    """A public check called with one matrix of its first fixed row resized,
+    or with every matrix stacked, names the shape rule instead of failing
+    inside numpy."""
+    row = check.fixed[0]
+    last = max(i for i, v in enumerate(row) if np.ndim(v) == 2)
+    mismatched = [2.0 * np.eye(len(v) + 1) if i == last else v for i, v in enumerate(row)]
+    stacked = [np.stack([v] * 3) if np.ndim(v) == 2 else v for v in row]
+    options = check.options(SuiteConfig(), OracleTally())
+    for inputs in (mismatched, stacked):
+        with pytest.raises(DimensionMismatch):
+            check.public(*inputs, **options)
+
+
+@pytest.mark.parametrize("check_id, pairs", [
+    ("loewner_monotone_metric", (("A", "C"), ("B", "D"))),
+    ("loewner_heinz", (("A", "B"),)),
+], ids=["loewner_monotone_metric", "loewner_heinz"])
+@pytest.mark.parametrize("seed", [0, 1, 40])
+@pytest.mark.parametrize("spread", [1e2, 1e4, 1e6])
+def test_battery_derives_loewner_ordered_pairs(check_id, pairs, seed, spread):
+    """The group evaluators of the Loewner checks take their hypotheses as
+    given (only the public checks test them): every trial the battery
+    draws and derives must satisfy them."""
+    idx = [c.check_id for c in _REGISTRY].index(check_id)
+    cfg = SuiteConfig(seed=seed, spread=spread)
+    rows = 0
+
+    def ordered(psd_tol, **inputs):
+        nonlocal rows
+        for hi, lo in pairs:
+            assert np.all(_psd_margin(inputs[hi], inputs[lo]) >= -psd_tol), (hi, lo)
+        rows += len(inputs["A"])
+        return [CheckOutcome(check_id, True, 0.0) for _ in inputs["A"]]
+
+    check = _REGISTRY[idx]._replace(evaluate=ordered)
+    assert len(list(_run_trials(cfg, idx, check, OracleTally()))) == rows == cfg.trials
