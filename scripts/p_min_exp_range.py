@@ -20,25 +20,24 @@ import warnings
 import numpy as np
 
 from spdmeans.errors import SpdMeansError
-from spdmeans.suite import SuiteConfig, is_failure, run_suite
+from spdmeans.suite import SuiteConfig, run_suite, summarize
 
 LIMIT_CHECKS = ("trace_descent", "limit_spectral", "limit_sandwich")
 DEFAULT_EXPS = (10, 19, 20, 24, 30, 40, 50, 55, 56, 57, 58)
 
 
 def row(seed: int, p_min_exp: int) -> str:
+    cfg = SuiteConfig(seed=seed, p_min_exp=p_min_exp)
     try:
-        outcomes = run_suite(SuiteConfig(seed=seed, p_min_exp=p_min_exp))
+        outcomes = run_suite(cfg)
     except (SpdMeansError, ValueError) as exc:    # numpy's LinAlgError is a ValueError
         return f"| {p_min_exp} | 2 (`error: {exc}`) | no report | | |"
-    failing: dict[str, int] = {}
-    for out in outcomes:
-        if is_failure(out):
-            failing[out.check_id] = failing.get(out.check_id, 0) + 1
+    summary = summarize(outcomes, cfg)
+    checks = summary["checks"]
+    listed = ", ".join(f"{cid} {c['failures']}" for cid, c in checks.items() if c["failures"])
+    worst = min(checks[cid]["worst_margin"] for cid in LIMIT_CHECKS)
     oracle = next(out for out in outcomes if out.check_id == "oracle_agreement")
-    worst = min(out.worst_margin for out in outcomes if out.check_id in LIMIT_CHECKS)
-    listed = ", ".join(f"{cid} {count}" for cid, count in sorted(failing.items())) or "none"
-    return (f"| {p_min_exp} | {1 if failing else 0} | {listed} | "
+    return (f"| {p_min_exp} | {0 if summary['ok'] else 1} | {listed or 'none'} | "
             f"{int(oracle.detail['mismatches'])} | {worst:.3g} |")
 
 

@@ -27,23 +27,23 @@ import numpy as np
 
 from spdmeans import suite
 from spdmeans.errors import SpdMeansError
-from spdmeans.suite import SuiteConfig, is_failure, run_suite
+from spdmeans.suite import SuiteConfig, run_suite, summarize
 
 DEFAULT_SPREADS = (1e2, 1e3, 1e4, 3e4, 1e5, 3e5, 1e6)
 
 
 def row(seed: int, trials: int, spread: float) -> str:
+    cfg = SuiteConfig(seed=seed, spread=spread, trials=trials)
     try:
-        outcomes = run_suite(SuiteConfig(seed=seed, spread=spread, trials=trials))
+        outcomes = run_suite(cfg)
     except (SpdMeansError, ValueError) as exc:    # numpy's LinAlgError is a ValueError
         return f"| {spread:g} | 2 (`{type(exc).__name__}: {exc}`) | no report | |"
-    failing: dict[str, int] = {}
-    for out in outcomes:
-        if is_failure(out):
-            failing[out.check_id] = failing.get(out.check_id, 0) + 1
+    summary = summarize(outcomes, cfg)
+    listed = ", ".join(f"{cid} {c['failures']}"
+                       for cid, c in summary["checks"].items() if c["failures"])
     oracle = next(out for out in outcomes if out.check_id == "oracle_agreement")
-    listed = ", ".join(f"{cid} {count}" for cid, count in sorted(failing.items())) or "none"
-    return f"| {spread:g} | {1 if failing else 0} | {listed} | {int(oracle.detail['mismatches'])} |"
+    return (f"| {spread:g} | {0 if summary['ok'] else 1} | {listed or 'none'} | "
+            f"{int(oracle.detail['mismatches'])} |")
 
 
 def table(title: str, seed: int, trials: int, spreads) -> None:

@@ -157,12 +157,14 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    out = check_natlog_counterexample() if args.name == "remark37" else check_spectral_not_monotone()
+    scalars = {key: v for key, v in out.witness.items() if np.ndim(v) == 0}
+    print("inputs (" + ", ".join(f"{key}={v:.6g}" for key, v in scalars.items()) + "):")
+    for key, M in out.witness.items():
+        if key not in scalars:
+            _print_matrix(key, M)
     if args.name == "remark37":
         ce = NATLOG_COUNTEREXAMPLE
-        out = check_natlog_counterexample()
-        print(f"inputs (t={ce['t']:.6g}, s={ce['s']}):")
-        _print_matrix("A", ce["A"])
-        _print_matrix("B", ce["B"])
         _print_matrix("reference sandwich power", ce["printed_sandwich"])
         _print_matrix("reference spectral mean", ce["printed_mean"])
         print(f"reference spectra: sandwich {ce['printed_sandwich_spectrum']}, "
@@ -170,17 +172,12 @@ def _cmd_counterexample(args) -> int:
         verdict = "log-majorization verdict"
     else:
         ce = MONOTONE_COUNTEREXAMPLE
-        out = check_spectral_not_monotone()
-        print(f"inputs (t={ce['t']:.6g}):")
-        _print_matrix("A", ce["A"])
-        _print_matrix("B1", ce["B1"])
-        _print_matrix("B2", ce["B2"])
         _print_matrix("reference mean with B1", ce["printed_mean_b1"])
         _print_matrix("reference mean with B2", ce["printed_mean_b2"])
         print(f"reference eigenvalues of the difference: {ce['printed_diff_eigs']}")
         verdict = f"B1 >= B2 margin: {out.detail['b1_ge_b2']:.3e}\nPSD verdict for the difference"
     print("computed deltas:")
-    for key, label, tol in REPRODUCTION[out.check_id]:
+    for key, label, tol, _ in REPRODUCTION[out.check_id]:
         value = out.detail[key]
         print(f"  {label}: {value:.3e} (tolerance {tol:g}) {'ok' if value <= tol else 'FAIL'}")
     print(f"{verdict}: {out.verdict} (expected False), worst margin {out.worst_margin:.3e}")

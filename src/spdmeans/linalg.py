@@ -79,19 +79,22 @@ def require_same_shape(*Xs) -> list[np.ndarray]:
 
 
 def is_hermitian(X, tol: float = ETA_HERM):
-    """Symmetry test per matrix: a bool for one matrix, a bool array for a stack."""
+    """Finite entries and symmetry, per matrix: a bool for one matrix, a bool array for a stack."""
     X = np.asarray(X)
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         return False
-    return unbatch(max_abs(X - ct(X)) <= tol * (1.0 + max_abs(X)))
+    finite = (scale := max_abs(X)) < np.inf   # false for an inf or NaN entry, zeroed before X - X*
+    X = np.where(finite[..., None, None], X, 0) if any_true(~finite) else X
+    return unbatch(finite & (max_abs(X - ct(X)) <= tol * (1.0 + scale)))
 
 
 def require_hermitian(X, tol: float = ETA_HERM) -> np.ndarray:
-    """Validate the Hermitian invariant and return X as an ndarray."""
+    """Validate the Hermitian invariant (``is_hermitian``) and return X as an ndarray."""
     X = require_square(X)
-    defect = max_abs(X - ct(X))
-    if any_true(defect > tol * (1.0 + max_abs(X))):
-        raise NonHermitianInput(f"symmetry defect {np.max(defect):.3e} exceeds tolerance")
+    if not all(np.ravel(is_hermitian(X, tol))):
+        if not np.all(max_abs(X) < np.inf):
+            raise NonHermitianInput("matrix entries must be finite")
+        raise NonHermitianInput(f"symmetry defect {max_abs(X - ct(X)).max():.3e} exceeds tolerance")
     return X
 
 
@@ -148,7 +151,7 @@ def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     NonHermitianInput
-        If the symmetry defect exceeds ETA_HERM.
+        If an entry is not finite or the symmetry defect exceeds ETA_HERM.
     EigFailure
         If the decomposition does not converge.
     """
@@ -384,8 +387,8 @@ def sample_pd(n: int, seed: int, spread: float) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if spread < 1.0:
-        raise ValueError(f"spread must be >= 1, got {spread}")
+    if not 1.0 <= spread < np.inf:
+        raise ValueError(f"spread must be finite and >= 1, got {spread}")
     return pd_compose(*pd_draws(n, rng_keys(require_seed(seed)), [spread]))[0]
 
 

@@ -115,8 +115,7 @@ def matrix_from_dict(d: Any) -> np.ndarray:
 
 
 def write_matrix(path, M: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps(matrix_to_dict(M)))
+    write_text(path, dumps(matrix_to_dict(M)))   # serialized first: no empty file on error
 
 
 def read_matrix(path) -> np.ndarray:

@@ -106,18 +106,19 @@ MONOTONE_COUNTEREXAMPLE = {
     "printed_diff_eigs": np.array([-0.0213, 29.1098]),
 }
 
-# What each fixture must reproduce: its delta entries, each with a label
-# and a tolerance.  These are the checks whose expected verdict is false.
+# What each fixture must reproduce: its delta entries, each with a label, a
+# tolerance and the printed reference it measures.  Their verdict is false.
 REPRODUCTION = {
-    "counterexample_natlog": (("delta_spectrum_sandwich", "spectrum (sandwich)", SPECTRUM_TOL),
-                              ("delta_spectrum_mean", "spectrum (mean)", SPECTRUM_TOL),
-                              ("delta_entries_sandwich", "entries (sandwich)", ENTRY_TOL),
-                              ("delta_entries_mean", "entries (mean)", ENTRY_TOL)),
-    "counterexample_monotone": (("delta_entries_mean_b1", "entries (mean with B1)", ENTRY_TOL),
-                                ("delta_entries_mean_b2", "entries (mean with B2)", ENTRY_TOL),
-                                ("delta_diff_eigs", "difference eigenvalues", EIG_TOL)),
+    "counterexample_natlog": (
+        ("delta_spectrum_sandwich", "spectrum (sandwich)", SPECTRUM_TOL, "printed_sandwich_spectrum"),
+        ("delta_spectrum_mean", "spectrum (mean)", SPECTRUM_TOL, "printed_mean_spectrum"),
+        ("delta_entries_sandwich", "entries (sandwich)", ENTRY_TOL, "printed_sandwich"),
+        ("delta_entries_mean", "entries (mean)", ENTRY_TOL, "printed_mean")),
+    "counterexample_monotone": (
+        ("delta_entries_mean_b1", "entries (mean with B1)", ENTRY_TOL, "printed_mean_b1"),
+        ("delta_entries_mean_b2", "entries (mean with B2)", ENTRY_TOL, "printed_mean_b2"),
+        ("delta_diff_eigs", "difference eigenvalues", EIG_TOL, "printed_diff_eigs")),
 }
-EXPECTED_FALSE = tuple(REPRODUCTION)
 
 
 @dataclass
@@ -236,7 +237,7 @@ def dyadic_grid(p_min_exp: int) -> tuple[float, ...]:
 # Detail entries that are not margins: the check parameters and reported
 # values.  Every other entry X is a margin, folded with its X_defect
 # sibling, when there is one, as min(X, -abs(X_defect)).
-_NOT_MARGINS = frozenset(("t", "r", "s", "final_err", "trace_final", "trace_target"))
+_NOT_MARGINS = frozenset(("t", "r", "s", "final_err", "trace_final", "trace_target", "b1_ge_b2"))
 
 
 def _logmaj(cols: dict, name: str, lo, hi, tol: float) -> np.ndarray:
@@ -472,8 +473,8 @@ def check_chain(
 
 def _validate_p_grid(p_grid) -> tuple[float, ...]:
     p_grid = tuple(float(p) for p in p_grid)
-    if not p_grid or any(p <= 0 for p in p_grid):
-        raise ValueError("p grid must be positive")
+    if not p_grid or not all(0 < p < math.inf for p in p_grid):
+        raise ValueError("p grid must be finite and positive")
     if any(b >= a for a, b in zip(p_grid, p_grid[1:])):
         raise ValueError("p grid must be strictly decreasing")
     return p_grid
@@ -780,13 +781,15 @@ def check_similarity(
 # fixed counterexample checks (expected-false verdicts)
 # --------------------------------------------------------------------------
 
-def _delta(X, reference) -> float:
-    """Largest entry deviation from a printed reference value."""
-    return float(np.max(np.abs(X - reference)))
-
-
-def _reproduced(check_id: str, detail: dict) -> bool:
-    return all(detail[key] <= tol for key, _, tol in REPRODUCTION[check_id])
+def _reproduce(out: CheckOutcome, ce: dict, computed, holds: bool = True) -> CheckOutcome:
+    """Fill a fixture row's ``REPRODUCTION`` deltas, the largest entry deviation
+    of each computed value (in table order) from its printed reference, and
+    whether all are in tolerance and ``holds``."""
+    table, d = REPRODUCTION[out.check_id], out.detail
+    for (key, _, _, ref), value in zip(table, computed, strict=True):
+        d[key] = float(np.max(np.abs(value - ce[ref])))
+    d["reproduction_ok"] = float(holds and all(d[key] <= tol for key, _, tol, _ in table))
+    return out
 
 
 def check_natlog_counterexample(
@@ -804,40 +807,25 @@ def check_natlog_counterexample(
     F_mid = power_from_eig(b.w, b.U, t * s / 2.0) @ power_from_eig(a.w, a.U, (1.0 - t) * s / 2.0)
     sandwich = _power(gram(F_mid), 1.0 / s)
     nat = gram(_nat_factor(a, b, t))
-    d = out.detail
-    d["delta_spectrum_sandwich"] = _delta(np.linalg.eigvalsh(sandwich)[::-1],
-                                          ce["printed_sandwich_spectrum"])
-    d["delta_spectrum_mean"] = _delta(np.linalg.eigvalsh(nat)[::-1], ce["printed_mean_spectrum"])
-    d["delta_entries_sandwich"] = _delta(sandwich, ce["printed_sandwich"])
-    d["delta_entries_mean"] = _delta(nat, ce["printed_mean"])
-    d["reproduction_ok"] = float(_reproduced(out.check_id, d))
-    return out
+    return _reproduce(out, ce, (np.linalg.eigvalsh(sandwich)[::-1], np.linalg.eigvalsh(nat)[::-1],
+                                sandwich, nat))
 
 
 def check_spectral_not_monotone(psd_tol: float = 1e-9) -> CheckOutcome:
     """Reproduce the 2x2 fixture showing the spectral mean is not jointly
     Loewner-monotone: B1 >= B2 but the difference of the two means has a
     negative eigenvalue.  The passing outcome is a FALSE PSD verdict with
-    the reference values reproduced."""
+    B1 >= B2 and the reference values reproduced."""
     ce = MONOTONE_COUNTEREXAMPLE
-    A, B1, B2, t = ce["A"], ce["B1"], ce["B2"], ce["t"]
+    (A, B1, B2), t = _one(ce["A"], ce["B1"], ce["B2"]), ce["t"]
     a = spd(A)
     N1, N2 = (gram(_nat_factor(a, spd(B), t)) for B in (B1, B2))
-    margin = float(_psd_margin(N1, N2))
-    detail = {"t": t, "b1_ge_b2": float(np.linalg.eigvalsh(B1 - B2)[0]), "psd_margin": margin,
-              "delta_entries_mean_b1": _delta(N1, ce["printed_mean_b1"]),
-              "delta_entries_mean_b2": _delta(N2, ce["printed_mean_b2"]),
-              "delta_diff_eigs": _delta(np.linalg.eigvalsh(N1 - N2),
-                                        np.sort(ce["printed_diff_eigs"]))}
-    detail["reproduction_ok"] = float(
-        detail["b1_ge_b2"] >= -psd_tol and _reproduced("counterexample_monotone", detail))
-    return CheckOutcome(
-        check_id="counterexample_monotone",
-        verdict=bool(margin >= -psd_tol),
-        worst_margin=margin,
-        witness={"A": A, "B1": B1, "B2": B2, "t": t},
-        detail=detail,
-    )
+    cols = {"t": [t], "b1_ge_b2": np.linalg.eigvalsh(B1 - B2)[:, 0],
+            "psd_margin": _psd_margin(N1, N2)}
+    out = _outcomes("counterexample_monotone", psd_tol, cols)[0]
+    out.witness = {key: ce[key] for key in ("A", "B1", "B2", "t")}
+    return _reproduce(out, ce, (N1, N2, np.linalg.eigvalsh(N1 - N2)),
+                      holds=out.detail["b1_ge_b2"] >= -psd_tol)
 
 
 # --------------------------------------------------------------------------
@@ -1218,7 +1206,7 @@ def is_failure(out: CheckOutcome) -> bool:
     values reproduce.  Out-of-range forced theorem rows are informational
     and never fail.
     """
-    if out.check_id in EXPECTED_FALSE:
+    if out.check_id in REPRODUCTION:
         return out.verdict or out.detail.get("reproduction_ok", 1.0) != 1.0
     return not out.verdict and out.detail.get("out_of_range", 0.0) != 1.0
 
@@ -1230,7 +1218,7 @@ def summarize(outcomes: list[CheckOutcome], config: SuiteConfig) -> dict:
     ok = True
     for out in outcomes:
         entry = checks.setdefault(out.check_id, {
-            "expected": "false" if out.check_id in EXPECTED_FALSE else "true",
+            "expected": "false" if out.check_id in REPRODUCTION else "true",
             "rows": 0,
             "failures": 0,
             "worst_margin": math.inf,

@@ -4,12 +4,27 @@ import csv
 import json
 import os
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
-from spdmeans import cli, matrixio, sample_pd
-from spdmeans.suite import NATLOG_COUNTEREXAMPLE
+from spdmeans import (
+    check_chain,
+    check_limit_sandwich,
+    check_limit_spectral,
+    check_spectral_not_monotone,
+    check_trace_corollary,
+    cli,
+    hermitian_eig,
+    mat_power,
+    matrixio,
+    metric_mean,
+    sample_pd,
+    spectral_mean,
+)
+from spdmeans.errors import NonHermitianInput
+from spdmeans.suite import MONOTONE_COUNTEREXAMPLE, NATLOG_COUNTEREXAMPLE, REPRODUCTION, is_failure
 
 
 def write(tmp_path, name, M):
@@ -443,8 +458,9 @@ class TestSampleCommand:
     def test_bad_parameters_exit_2(self, tmp_path, capsys):
         assert cli.main(["sample", "0", "1", "10",
                          "--out", str(tmp_path / "x.json")]) == 2
-        assert cli.main(["sample", "2", "1", "0.5",
-                         "--out", str(tmp_path / "x.json")]) == 2
+        for spread in ("0.5", "nan", "inf"):
+            assert cli.main(["sample", "2", "1", spread,
+                             "--out", str(tmp_path / "x.json")]) == 2
         assert cli.main(["sample", "3", "-1", "10",
                          "--out", str(tmp_path / "x.json")]) == 2
         assert "seed" in capsys.readouterr().err
@@ -455,3 +471,62 @@ def test_output_dir_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SPDMEANS_OUT_DIR", str(tmp_path))
     assert cli.main(["sample", "2", "3", "10", "--out", "relative.json"]) == 0
     assert (tmp_path / "relative.json").exists()
+
+
+NAN_PAIR = (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.diag([2.0, 1.0]))
+LIMIT_CHECKS = (check_limit_spectral, check_limit_sandwich, check_trace_corollary)
+BAD_GRIDS = ([np.inf, 1.0], [1.0, np.nan])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    partial(mat_power, NAN_PAIR[0], 0.5),
+    partial(hermitian_eig, np.array([[np.inf, 0.0], [0.0, 1.0]])),
+    partial(metric_mean, *NAN_PAIR, 0.5),
+    partial(spectral_mean, *NAN_PAIR, 0.5),
+    partial(check_chain, *NAN_PAIR, 0.5),
+    *(partial(check, np.eye(2), np.eye(2), 0.5, grid) for check in LIMIT_CHECKS for grid in BAD_GRIDS),
+    ("mean", "natural"),
+    ("limit",),
+], ids=["mat_power", "hermitian_eig", "metric_mean", "spectral_mean", "check_chain",
+        *(f"{check.__name__}-{grid}" for check in LIMIT_CHECKS for grid in BAD_GRIDS),
+        "spdmeans mean", "spdmeans limit"])
+def test_non_finite_input_is_rejected_at_the_boundary(call, tmp_path, capsys):
+    """A NaN or inf matrix entry or p grid point is refused where it enters
+    the package, with the package's error and no numpy warning."""
+    if callable(call):
+        with pytest.raises((NonHermitianInput, ValueError), match="finite"):
+            call()
+        return
+    nan = tmp_path / "nan.json"
+    nan.write_text('{"n": 2, "complex": false, "data_re": [[NaN, 0.0], [0.0, 1.0]]}')
+    out = tmp_path / "out.json"
+    code = cli.main([*call, str(nan), write(tmp_path, "good.json", NAN_PAIR[1]),
+                     "--t", "0.5", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: matrix entries must be finite\n"
+    assert not out.exists()
+
+
+def test_monotone_fixture_fails_when_b1_does_not_dominate_b2(tmp_path, capsys, monkeypatch):
+    """With B2 = B1 + I, and the references recomputed for it, only the
+    precondition B1 >= B2 fails: the row is a failed reproduction in the
+    library, the counterexample command and the report."""
+    ce = MONOTONE_COUNTEREXAMPLE
+    B2 = ce["B1"] + np.eye(2)
+    N1, N2 = (spectral_mean(ce["A"], B, ce["t"]) for B in (ce["B1"], B2))
+    monkeypatch.setitem(ce, "B2", B2)
+    monkeypatch.setitem(ce, "printed_mean_b2", N2)
+    monkeypatch.setitem(ce, "printed_diff_eigs", np.linalg.eigvalsh(N1 - N2))
+    out = check_spectral_not_monotone()
+    assert out.detail["b1_ge_b2"] < 0
+    assert all(out.detail[key] <= tol for key, _, tol, _ in REPRODUCTION[out.check_id])
+    assert out.detail["reproduction_ok"] == 0.0
+    assert is_failure(out)
+    assert cli.main(["counterexample", "loewner"]) == 1
+    capsys.readouterr()
+    prefix = str(tmp_path / "r")
+    assert cli.main(["verify", "--trials", "0", "--out", prefix]) == 1
+    assert "counterexample_monotone: rows=1 failures=1 " in capsys.readouterr().out
+    summary = json.loads((tmp_path / "r.json").read_text())
+    assert summary["checks"]["counterexample_monotone"]["failures"] == 1

@@ -1,9 +1,9 @@
 """Reports are bitwise reproducible: ``spdmeans verify --seed 1`` writes the
 CSV whose sha256 the benchmark records in ``bench/baseline.json`` for this
 numpy/BLAS environment, at the configurations of its two verify workloads,
-and so do seeds 0 and 40 at the default configuration.  The seed-1
-default report is also checked with the process restricted to one CPU,
-where the checks run serially in one process.
+and so do seeds 0 and 40 at both.  The seed-1 default report is also
+checked with the process restricted to one CPU, where the checks run
+serially in one process.
 A change that moves any verdict or margin of a report fails here; where no
 digest is recorded for the environment the test skips."""
 
@@ -63,9 +63,14 @@ def test_report_matches_recorded_digest(workload, recorded, tmp_path):
     check_digest(workload, 1, recorded, tmp_path)
 
 
-@pytest.mark.parametrize("seed", [0, 40])
-def test_default_report_matches_recorded_digest_at_more_seeds(seed, recorded, tmp_path):
-    check_digest("verify_default", seed, recorded, tmp_path)
+MORE_SEEDS = [(seed, workload) for workload in WORKLOADS for seed in (0, 40)]
+
+
+# each id is the seed, followed by the workload unless it is the default one
+@pytest.mark.parametrize("seed, workload", MORE_SEEDS, ids=[
+    f"{seed}" if workload == "verify_default" else f"{seed}-{workload}" for seed, workload in MORE_SEEDS])
+def test_default_report_matches_recorded_digest_at_more_seeds(seed, workload, recorded, tmp_path):
+    check_digest(workload, seed, recorded, tmp_path)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity control")

@@ -391,7 +391,7 @@ class TestCounterexampleChecks:
     def test_reproduction_table_lists_every_delta(self, check):
         out = check()
         deltas = [key for key in out.detail if key.startswith("delta_")]
-        assert [key for key, _, _ in REPRODUCTION[out.check_id]] == deltas
+        assert [entry[0] for entry in REPRODUCTION[out.check_id]] == deltas
 
 
 @pytest.mark.parametrize("check, name", [(check_loewner_heinz, "r"), (check_lambda1, "s")])
