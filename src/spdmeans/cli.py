@@ -112,19 +112,6 @@ def _cmd_verify(args) -> int:
     summary = summarize(outcomes, cfg)
 
     matrixio.write_text(_resolve(args.out_csv), matrixio.report_csv_text(outcomes))
-    failures = [
-        {
-            "check_id": out.check_id,
-            "trial": out.trial,
-            "seed": out.seed,
-            "worst_margin": out.worst_margin,
-            "detail": out.detail,
-            "witness": out.witness,
-        }
-        for out in outcomes
-        if is_failure(out)
-    ]
-    summary["failure_rows"] = failures
     matrixio.write_text(_resolve(args.out_json), matrixio.dumps(matrixio.sanitize(summary)))
 
     for cid, entry in summary["checks"].items():

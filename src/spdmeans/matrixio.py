@@ -135,24 +135,18 @@ LIMIT_COLUMNS = (
 )
 
 
+def _csv_text(columns, rows) -> str:
+    """A header line of ``columns``, then one line per row of string fields."""
+    return ",".join(columns) + "\n" + "".join(",".join(fields) + "\n" for fields in rows)
+
+
 def report_csv_text(outcomes) -> str:
-    lines = [",".join(REPORT_COLUMNS)]
-    for out in outcomes:
-        lines.append(",".join((
-            out.check_id,
-            str(out.trial),
-            "true" if out.verdict else "false",
-            format_float(out.worst_margin),
-            str(out.seed),
-        )))
-    return "\n".join(lines) + "\n"
+    return _csv_text(REPORT_COLUMNS, ((o.check_id, str(o.trial), "true" if o.verdict else "false",
+                                       format_float(o.worst_margin), str(o.seed)) for o in outcomes))
 
 
 def limit_csv_text(rows) -> str:
-    lines = [",".join(LIMIT_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return _csv_text(LIMIT_COLUMNS, (map(format_float, row) for row in rows))
 
 
 def sanitize(obj: Any) -> Any:

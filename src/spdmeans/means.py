@@ -46,6 +46,13 @@ def _check_weight(v: float, name: str = "weight t") -> float:
     return v
 
 
+def _check_positive(v: float, name: str) -> float:
+    v = float(v)
+    if not 0.0 < v < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {v}")
+    return v
+
+
 def gram(F: np.ndarray) -> np.ndarray:
     """The positive definite matrix F F* carried by a Gram factor."""
     return hermitize(F @ ct(F))

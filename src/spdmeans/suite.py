@@ -62,6 +62,7 @@ from .linalg import (
 )
 from .majorization import _compound_order, _compound_spectra, _log_margins, nonneg_spectrum
 from .means import (
+    _check_positive,
     _check_weight,
     _inv_sharp,
     _metric_factor,
@@ -196,8 +197,10 @@ class SuiteConfig:
             raise ValueError(f"bad dimension range {self.dims}")
         if not self.t_grid or any(not 0.0 <= t <= 1.0 for t in self.t_grid):
             raise ValueError("t grid must be nonempty and lie in [0, 1]")
-        if not self.r_grid or any(v <= 0 for v in (*self.r_grid, *self.s_grid)):
-            raise ValueError("r grid must be nonempty; r and s grids must be positive")
+        if not self.r_grid:
+            raise ValueError("r grid must be nonempty")
+        for v in (*self.r_grid, *self.s_grid):
+            _check_positive(v, "an r or s grid value")
         if not self.force_out_of_range and any(s > 2.0 for s in self.s_grid):
             raise ValueError("s grid exceeds 2, the largest provable bound 1/max(t, 1-t); "
                              "set force_out_of_range to run anyway")
@@ -206,8 +209,8 @@ class SuiteConfig:
                              f"for t={bare[0]:g}; set s_at_bound or force_out_of_range")
         if self.spread < 1.0:
             raise ValueError("spread must be >= 1")
-        if min(self.tol, self.psd_tol, self.limit_err_threshold, self.limit_floor) <= 0:
-            raise ValueError("tolerances and limit thresholds must be positive")
+        for key in ("tol", "psd_tol", "limit_err_threshold", "limit_floor"):
+            _check_positive(getattr(self, key), f"threshold {key}")
 
     def to_dict(self) -> dict:
         values = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -368,8 +371,7 @@ def check_geometric_power(
     """Power inequality for the metric mean: the r-th power of the mean
     dominates the mean of the r-th powers for r >= 1 (reversed for
     r <= 1), plus the induced monotonicity in the exponent."""
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
+    r, tol = _check_positive(r, "r"), _check_positive(tol, "tol")
     return _power_order("geometric", *_one(A, B), *_col(_check_weight(t), r), tol, tally)[0]
 
 
@@ -379,8 +381,7 @@ def check_spectral_power(
     """Power inequality for the spectral mean; the ordering is reversed
     relative to the metric mean: the mean of the r-th powers dominates
     for r >= 1, and the larger exponent dominates in the monotone family."""
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
+    r, tol = _check_positive(r, "r"), _check_positive(tol, "tol")
     return _power_order("spectral", *_one(A, B), *_col(_check_weight(t), r), tol, tally)[0]
 
 
@@ -397,10 +398,15 @@ def _beyond_bound(t: float, s: float) -> bool:
     return s > s_provable_bound(t) + 1e-12
 
 
-def _natlog(A, B, t, s, tol, tally):
+def _natlog_factors(A, B, t, s) -> tuple[np.ndarray, np.ndarray]:
+    """Gram factors of the sandwich B^{ts/2} A^{(1-t)s} B^{ts/2} and of the spectral mean."""
     a, b = spd(A), spd(B)
     F_mid = power_from_eig(b.w, b.U, t * s / 2.0) @ power_from_eig(a.w, a.U, (1.0 - t) * s / 2.0)
-    F_nat = _nat_factor(a, b, t)
+    return F_mid, _nat_factor(a, b, t)
+
+
+def _natlog(A, B, t, s, tol, tally, factors=None):
+    F_mid, F_nat = _natlog_factors(A, B, t, s) if factors is None else factors
     cols = {"t": t, "s": s}
     ok = _logmaj(cols, "sandwich_vs_mean", np.log(spectrum_of_factor(F_mid)) / s[:, None],
                  np.log(spectrum_of_factor(F_nat)), tol)
@@ -423,11 +429,10 @@ def check_natlog(A, B, t: float, s: float, tol: float = 1e-8, force: bool = Fals
     row has ``detail["out_of_range"] == 1.0`` and is informational, as
     in the battery.
     """
-    if s <= 0:
-        raise ValueError(f"s must be positive, got {s}")
+    t, s, tol = _check_weight(t), _check_positive(s, "s"), _check_positive(tol, "tol")
     if _beyond_bound(t, s) and not force:
         raise SOutOfRange(f"s={s} exceeds the provable bound {s_provable_bound(t):.6g} for t={t}")
-    return _natlog(*_one(A, B), *_col(_check_weight(t), s), tol, tally)[0]
+    return _natlog(*_one(A, B), *_col(t, s), tol, tally)[0]
 
 
 def _chain(A, B, t, tol, tally):
@@ -464,7 +469,7 @@ def check_chain(
     metric mean  <  exp((1-t) log A + t log B)  <  B^{t/2} A^{1-t} B^{t/2}
     < spectral mean, with the outer (metric < spectral) link also checked
     directly."""
-    return _chain(*_one(A, B), *_col(_check_weight(t)), tol, tally)[0]
+    return _chain(*_one(A, B), *_col(_check_weight(t)), _check_positive(tol, "tol"), tally)[0]
 
 
 # --------------------------------------------------------------------------
@@ -472,11 +477,9 @@ def check_chain(
 # --------------------------------------------------------------------------
 
 def _validate_p_grid(p_grid) -> tuple[float, ...]:
-    p_grid = tuple(float(p) for p in p_grid)
-    if not p_grid or not all(0 < p < math.inf for p in p_grid):
-        raise ValueError("p grid must be finite and positive")
-    if any(b >= a for a, b in zip(p_grid, p_grid[1:])):
-        raise ValueError("p grid must be strictly decreasing")
+    p_grid = tuple(_check_positive(p, "p grid value") for p in p_grid)
+    if not p_grid or any(b >= a for a, b in zip(p_grid, p_grid[1:])):
+        raise ValueError("p grid must be nonempty and strictly decreasing")
     return p_grid
 
 
@@ -556,7 +559,7 @@ def check_trace_corollary(
     """tr exp((1-t)A + tB) is a lower bound for tr of the p-family of
     spectral means of exponentials, and the traces decrease with p."""
     p_grid = _validate_p_grid(p_grid)
-    return _trace(*_one(A, B), *_col(_check_weight(t)), p_grid, tol)[0]
+    return _trace(*_one(A, B), *_col(_check_weight(t)), p_grid, _check_positive(tol, "tol"))[0]
 
 
 def _limit(family, A, B, t, p_grid, tol, err_threshold, floor, tally):
@@ -613,9 +616,9 @@ def check_limit_spectral(A, B, t: float, p_grid, tol: float = 1e-8, err_threshol
                          floor: float = 1e-8, tally: OracleTally | None = None) -> CheckOutcome:
     """(exp(pA) nat_t exp(pB))^{1/p} converges down to exp((1-t)A + tB)
     as p -> 0, monotonically in the log-majorization order."""
-    p_grid = _validate_p_grid(p_grid)
-    return _limit("spectral", *_one(A, B), *_col(_check_weight(t)), p_grid, tol,
-                  err_threshold, floor, tally)[0]
+    opts = map(_check_positive, (tol, err_threshold, floor), ("tol", "err_threshold", "floor"))
+    return _limit("spectral", *_one(A, B), *_col(_check_weight(t)), _validate_p_grid(p_grid),
+                  *opts, tally)[0]
 
 
 def check_limit_sandwich(A, B, t: float, p_grid, tol: float = 1e-8, err_threshold: float = 1e-2,
@@ -623,9 +626,9 @@ def check_limit_sandwich(A, B, t: float, p_grid, tol: float = 1e-8, err_threshol
     """(exp(ptB/2) exp(p(1-t)A) exp(ptB/2))^{1/p} converges down to
     exp((1-t)A + tB); the family is log-majorization monotone and bounded
     above by the spectral mean of exp(A) and exp(B)."""
-    p_grid = _validate_p_grid(p_grid)
-    return _limit("sandwich", *_one(A, B), *_col(_check_weight(t)), p_grid, tol,
-                  err_threshold, floor, tally)[0]
+    opts = map(_check_positive, (tol, err_threshold, floor), ("tol", "err_threshold", "floor"))
+    return _limit("sandwich", *_one(A, B), *_col(_check_weight(t)), _validate_p_grid(p_grid),
+                  *opts, tally)[0]
 
 
 # --------------------------------------------------------------------------
@@ -652,6 +655,7 @@ def check_loewner_monotone_geometric(
     """Joint Loewner monotonicity of the metric mean: A >= C and B >= D
     imply metric_mean(A, B, t) >= metric_mean(C, D, t)."""
     (A, B, C, D), (t,) = _one(A, B, C, D), _col(_check_weight(t))
+    psd_tol = _check_positive(psd_tol, "psd_tol")
     _require_loewner(A, C, psd_tol, "A vs C")
     _require_loewner(B, D, psd_tol, "B vs D")
     return _loewner_monotone(A, B, C, D, t, psd_tol)[0]
@@ -665,6 +669,7 @@ def _heinz(A, B, r, psd_tol):
 def check_loewner_heinz(A, B, r: float, psd_tol: float = 1e-9) -> CheckOutcome:
     """A >= B >= 0 implies A^r >= B^r for r in [0, 1]."""
     (A, B), (r,) = _one(A, B), _col(_check_weight(r, "r"))
+    psd_tol = _check_positive(psd_tol, "psd_tol")
     _require_loewner(A, B, psd_tol, "A vs B")
     return _heinz(A, B, r, psd_tol)[0]
 
@@ -688,7 +693,7 @@ def check_lambda1(
     lambda_1(A^{s/2} B^s A^{s/2}) <= lambda_1(A^{1/2} B A^{1/2})^s for
     s in [0, 1], together with its full log-majorization lift.  Products
     are evaluated through Hermitian similarity throughout."""
-    return _lambda1(*_one(A, B), *_col(_check_weight(s, "s")), tol, tally)[0]
+    return _lambda1(*_one(A, B), *_col(_check_weight(s, "s")), _check_positive(tol, "tol"), tally)[0]
 
 
 # --------------------------------------------------------------------------
@@ -750,6 +755,7 @@ def check_means_identities(A, B, t: float, r: float = 0.25, s: float = 0.75, alp
     determinant and homogeneity identities, and the square-root spectrum
     property of the midpoint mean."""
     weights = [_check_weight(w) for w in (t, r, s)]
+    alpha, beta, tol = map(_check_positive, (alpha, beta, tol), ("alpha", "beta", "tol"))
     return _means_identities(*_one(A, B), *_col(*weights, alpha, beta), tol)[0]
 
 
@@ -774,7 +780,7 @@ def check_similarity(
     """The constructed witness conjugates the midpoint metric mean onto
     the two-sided spectral-mean product: residual, unitarity of the
     rotator, and equality of the two spectra."""
-    return _similarity(*_one(A, B), *_col(_check_weight(t)), tol)[0]
+    return _similarity(*_one(A, B), *_col(_check_weight(t)), _check_positive(tol, "tol"))[0]
 
 
 # --------------------------------------------------------------------------
@@ -801,12 +807,11 @@ def check_natlog_counterexample(
     reference values."""
     ce = NATLOG_COUNTEREXAMPLE
     A, B, t, s = ce["A"], ce["B"], ce["t"], ce["s"]
-    out = _natlog(*_one(A, B), *_col(t, s), tol, tally)[0]
+    inputs = (*_one(A, B), *_col(t, s))
+    F_mid, F_nat = factors = _natlog_factors(*inputs)
+    out = _natlog(*inputs, _check_positive(tol, "tol"), tally, factors)[0]
     out.check_id, out.witness = "counterexample_natlog", {"A": A, "B": B, "t": t, "s": s}
-    a, b = spd(A), spd(B)
-    F_mid = power_from_eig(b.w, b.U, t * s / 2.0) @ power_from_eig(a.w, a.U, (1.0 - t) * s / 2.0)
-    sandwich = _power(gram(F_mid), 1.0 / s)
-    nat = gram(_nat_factor(a, b, t))
+    sandwich, nat = _power(gram(F_mid), 1.0 / s)[0], gram(F_nat)[0]
     return _reproduce(out, ce, (np.linalg.eigvalsh(sandwich)[::-1], np.linalg.eigvalsh(nat)[::-1],
                                 sandwich, nat))
 
@@ -816,7 +821,7 @@ def check_spectral_not_monotone(psd_tol: float = 1e-9) -> CheckOutcome:
     Loewner-monotone: B1 >= B2 but the difference of the two means has a
     negative eigenvalue.  The passing outcome is a FALSE PSD verdict with
     B1 >= B2 and the reference values reproduced."""
-    ce = MONOTONE_COUNTEREXAMPLE
+    ce, psd_tol = MONOTONE_COUNTEREXAMPLE, _check_positive(psd_tol, "psd_tol")
     (A, B1, B2), t = _one(ce["A"], ce["B1"], ce["B2"]), ce["t"]
     a = spd(A)
     N1, N2 = (gram(_nat_factor(a, spd(B), t)) for B in (B1, B2))
@@ -1212,10 +1217,10 @@ def is_failure(out: CheckOutcome) -> bool:
 
 
 def summarize(outcomes: list[CheckOutcome], config: SuiteConfig) -> dict:
-    """Aggregate outcomes into the report structure used by the CLI
-    (failures as decided by :func:`is_failure`)."""
+    """The JSON report: the config, each check's counts (failures as decided
+    by :func:`is_failure`), whether no row fails, and each failing row."""
     checks: dict[str, dict] = {}
-    ok = True
+    failure_rows = []
     for out in outcomes:
         entry = checks.setdefault(out.check_id, {
             "expected": "false" if out.check_id in REPRODUCTION else "true",
@@ -1227,9 +1232,11 @@ def summarize(outcomes: list[CheckOutcome], config: SuiteConfig) -> dict:
         entry["worst_margin"] = min(entry["worst_margin"], out.worst_margin)
         if is_failure(out):
             entry["failures"] += 1
-            ok = False
+            failure_rows.append({key: getattr(out, key) for key in (
+                "check_id", "trial", "seed", "worst_margin", "detail", "witness")})
     return {
         "config": config.to_dict(),
         "checks": {cid: checks[cid] for cid in sorted(checks)},
-        "ok": ok,
+        "ok": not failure_rows,
+        "failure_rows": failure_rows,
     }

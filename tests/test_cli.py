@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from spdmeans import (
+    SuiteConfig,
     check_chain,
     check_limit_sandwich,
     check_limit_spectral,
@@ -20,8 +21,10 @@ from spdmeans import (
     mat_power,
     matrixio,
     metric_mean,
+    run_suite,
     sample_pd,
     spectral_mean,
+    summarize,
 )
 from spdmeans.errors import NonHermitianInput
 from spdmeans.suite import MONOTONE_COUNTEREXAMPLE, NATLOG_COUNTEREXAMPLE, REPRODUCTION, is_failure
@@ -183,6 +186,26 @@ class TestVerifyCommand:
         listed = [row["check_id"] for row in summary["failure_rows"]]
         assert listed == ["counterexample_natlog"]
         assert summary["failure_rows"][0]["detail"]["reproduction_ok"] == 0.0
+
+    def test_json_report_is_the_summary(self, tmp_path, capsys):
+        """summarize builds the whole JSON report: its failure rows are the
+        rows is_failure picks, in row order, and verify writes it as is."""
+        cfg = SuiteConfig(tol=1e-14, trials=20, limit_trials=2)
+        outcomes = run_suite(cfg)
+        summary = summarize(outcomes, cfg)
+        failing = [out for out in outcomes if is_failure(out)]
+        assert failing and summary["ok"] is False
+        assert len(summary["failure_rows"]) == len(failing)
+        for row, out in zip(summary["failure_rows"], failing):
+            assert list(row) == ["check_id", "trial", "seed", "worst_margin", "detail", "witness"]
+            assert (row["check_id"], row["trial"], row["seed"], row["worst_margin"]) == (
+                out.check_id, out.trial, out.seed, out.worst_margin)
+            assert row["detail"] is out.detail and row["witness"] is out.witness
+        json_path = tmp_path / "report.json"
+        code = cli.main(["verify", "--tol", "1e-14", "--trials", "20", "--limit-trials", "2",
+                         "--out-csv", str(tmp_path / "report.csv"), "--out-json", str(json_path)])
+        assert code == 1
+        assert json_path.read_bytes() == matrixio.dumps(matrixio.sanitize(summary)).encode()
 
     def test_out_of_range_without_force_is_config_error(self, tmp_path, capsys):
         code, *_ = self.run_verify(tmp_path, "d", extra=("--s", "0.5,2.1"))

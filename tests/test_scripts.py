@@ -1,7 +1,6 @@
-"""The scripts that regenerate the README's range tables still run.  Both
-read suite internals, so a rename that breaks one fails here."""
+"""The scripts under ``scripts/`` still run.  They read suite internals, so a
+rename that breaks one fails here."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,18 +8,30 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-       "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+LAPACK = ("eigh", "svd", "eigvalsh", "qr", "det", "solve", "eigvals")
+
+
+def run_script(script, args, env) -> list[str]:
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 @pytest.mark.parametrize("script, args", [
     ("p_min_exp_range.py", ["0"]),
     ("spread_range.py", ["--trials", "2", "100"]),
 ])
-def test_script_prints_one_row_per_table(script, args):
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          env=ENV, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+def test_script_prints_one_row_per_table(script, args, subprocess_env):
+    lines = run_script(script, args, subprocess_env)
     rows = [line for line in lines if line.startswith(f"| {args[-1]} |")]
     assert len(rows) == sum(line.startswith("|---") for line in lines) >= 1
+
+
+@pytest.mark.parametrize("large_n", [[], ["--large-n"]], ids=["default", "large-n"])
+def test_lapack_counts_prints_the_total_and_each_entry_point(large_n, subprocess_env):
+    lines = run_script("lapack_counts.py", [*large_n, "--trials", "1", "--limit-trials", "1"],
+                       subprocess_env)
+    counts = {name: int(count) for name, count in (line.split() for line in lines[1:])}
+    assert sorted(counts) == sorted(LAPACK)
+    assert lines[0] == f"total {sum(counts.values())}" and counts["eigh"] > 0

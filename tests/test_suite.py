@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -399,6 +400,42 @@ class TestCounterexampleChecks:
 def test_unit_interval_parameters_are_range_checked(check, name, value):
     with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\], got {value}$"):
         check(DIAG_A + np.eye(2), DIAG_A, value)
+
+
+HERM_A, HERM_B = np.diag([0.5, -0.5]), np.array([[0.2, 0.1], [0.1, -0.1]])
+# each public check's tolerance and limit thresholds, at its first fixed
+# inputs and otherwise the options the battery passes
+THRESHOLD_CALLS = [
+    (key, partial(check.public, *check.fixed[0], **{**check.options(SuiteConfig(), None), key: bad}),
+     f"{check.check_id}-{key}={bad}")
+    for check in _REGISTRY for key in ("tol", "psd_tol", "err_threshold", "floor")
+    if key in check.keywords for bad in (math.nan, math.inf, 0.0, -1e-4)
+]
+PARAMETER_CALLS = [
+    ("r", partial(check_geometric_power, DIAG_A, DIAG_B, 0.5, math.nan), "geometric-r=nan"),
+    ("r", partial(check_geometric_power, DIAG_A, DIAG_B, 0.5, math.inf), "geometric-r=inf"),
+    ("r", partial(check_spectral_power, DIAG_A, DIAG_B, 0.5, math.inf), "spectral-r=inf"),
+    ("r", partial(check_spectral_power, DIAG_A, DIAG_B, 0.5, 0.0), "spectral-r=0"),
+    ("s", partial(check_natlog, DIAG_A, DIAG_B, 0.5, math.nan), "natlog-s=nan"),
+    ("s", partial(check_natlog, DIAG_A, DIAG_B, 0.5, math.inf, force=True), "natlog-s=inf"),
+    ("s", partial(check_natlog, DIAG_A, DIAG_B, 0.5, -1.0), "natlog-s=-1"),
+    ("alpha", partial(check_means_identities, DIAG_A, DIAG_B, 0.5, alpha=math.nan), "alpha=nan"),
+    ("beta", partial(check_means_identities, DIAG_A, DIAG_B, 0.5, beta=math.inf), "beta=inf"),
+    ("err_threshold", partial(check_limit_sandwich, HERM_A, HERM_B, 0.5, [1.0], err_threshold=-1e-4),
+     "sandwich-err_threshold=-1e-4"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, call", [case[:2] for case in PARAMETER_CALLS + THRESHOLD_CALLS],
+                         ids=[case[2] for case in PARAMETER_CALLS + THRESHOLD_CALLS])
+def test_scalar_options_must_be_finite_and_positive(name, call):
+    """A NaN, infinite, zero or negative exponent, scale factor, tolerance or
+    limit threshold is refused by name, before any numpy warning: each would
+    otherwise give a NaN margin, a verdict that always passes or always
+    fails, or a gate turned off."""
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and positive, got "):
+        call()
 
 
 class TestRunSuite:

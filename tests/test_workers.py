@@ -5,7 +5,6 @@ no worker outlives the run."""
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from spdmeans import suite
 from spdmeans.errors import NumericBreakdown
 from spdmeans.suite import _REGISTRY, _registry_rows
 
-ROOT = Path(__file__).resolve().parents[1]
 # failing rows (with witnesses) at tol 1e-14, and n = 1 next to n = 5
 CFG = SuiteConfig(seed=3, trials=6, limit_trials=2, dims=(1, 5), tol=1e-14)
 fork_only = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
@@ -155,18 +153,17 @@ def test_run_suite_leaves_no_child_behind(monkeypatch):
     assert_no_children()
 
 
-def test_importing_the_package_loads_no_process_pool():
+def test_importing_the_package_loads_no_process_pool(subprocess_env):
     code = ("import sys, spdmeans; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env, capture_output=True,
+                          text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
-def test_a_run_does_not_import_numpy_ma():
+def test_a_run_does_not_import_numpy_ma(subprocess_env):
     """numpy.ma, which np.unique imports on first use, costs each forked
     worker about 14 ms; on one CPU every check runs in the process asked."""
     code = ("import os, sys\n"
@@ -175,8 +172,7 @@ def test_a_run_does_not_import_numpy_ma():
             "from spdmeans import SuiteConfig, run_suite\n"
             "run_suite(SuiteConfig(trials=2, limit_trials=1))\n"
             "print('numpy.ma' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env, capture_output=True,
+                          text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
