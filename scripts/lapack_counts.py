@@ -9,11 +9,10 @@ then one line per entry point, largest count first.
 
 Run from the repository root (about 1 s, or 3 s with ``--large-n``)::
 
-    PYTHONPATH=src python3 scripts/lapack_counts.py [--large-n] [--seed 1]
+    PYTHONPATH=src python3 scripts/lapack_counts.py [--large-n]
 
-``--large-n`` runs the configuration of ``spdmeans verify --dims 40,64
---trials 20 --limit-trials 5``; ``--trials`` and ``--limit-trials``
-override the trial counts of either.
+Both runs use seed 1.  ``--large-n`` runs the configuration of ``spdmeans
+verify --dims 40,64 --trials 20 --limit-trials 5``.
 """
 
 import os
@@ -54,16 +53,10 @@ def lapack_counts(cfg: SuiteConfig) -> dict[str, int]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--large-n", action="store_true", help="dims 40,64, 20 and 5 trials")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--limit-trials", type=int, dest="limit_trials")
     args = parser.parse_args()
-    fields = {**(LARGE_N if args.large_n else {}), "seed": args.seed}
-    fields.update({key: getattr(args, key) for key in ("trials", "limit_trials")
-                   if getattr(args, key) is not None})
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    counts = lapack_counts(SuiteConfig.from_dict(fields))
+    counts = lapack_counts(SuiteConfig.from_dict({**(LARGE_N if args.large_n else {}), "seed": 1}))
     print(f"total {sum(counts.values())}")
     for name, count in sorted(counts.items(), key=lambda item: -item[1]):
         print(f"{name} {count}")

@@ -805,11 +805,11 @@ def check_natlog_counterexample(
     t = 1/3, breaks the sandwich-vs-mean log majorization.  The passing
     outcome is a FALSE ordering verdict together with reproduction of the
     reference values."""
-    ce = NATLOG_COUNTEREXAMPLE
+    ce, tol = NATLOG_COUNTEREXAMPLE, _check_positive(tol, "tol")
     A, B, t, s = ce["A"], ce["B"], ce["t"], ce["s"]
     inputs = (*_one(A, B), *_col(t, s))
     F_mid, F_nat = factors = _natlog_factors(*inputs)
-    out = _natlog(*inputs, _check_positive(tol, "tol"), tally, factors)[0]
+    out = _natlog(*inputs, tol, tally, factors)[0]
     out.check_id, out.witness = "counterexample_natlog", {"A": A, "B": B, "t": t, "s": s}
     sandwich, nat = _power(gram(F_mid), 1.0 / s)[0], gram(F_nat)[0]
     return _reproduce(out, ce, (np.linalg.eigvalsh(sandwich)[::-1], np.linalg.eigvalsh(nat)[::-1],

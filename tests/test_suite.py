@@ -395,7 +395,10 @@ class TestCounterexampleChecks:
         assert [entry[0] for entry in REPRODUCTION[out.check_id]] == deltas
 
 
-@pytest.mark.parametrize("check, name", [(check_loewner_heinz, "r"), (check_lambda1, "s")])
+@pytest.mark.parametrize("check, name", [
+    (check_loewner_heinz, "r"), (check_lambda1, "s"),
+    pytest.param(partial(check_natlog, s=1.0), "weight t", id="check_natlog-t"),
+])
 @pytest.mark.parametrize("value", [-0.5, 1.5])
 def test_unit_interval_parameters_are_range_checked(check, name, value):
     with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\], got {value}$"):
