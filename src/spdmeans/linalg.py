@@ -200,7 +200,7 @@ class Spd:
 
     @cached_property
     def root(self) -> np.ndarray:
-        return hermitize((self.U * np.sqrt(self.w)[..., None, :]) @ ct(self.U))
+        return from_eig(self.U, np.sqrt(self.w))
 
     @cached_property
     def inv_root(self) -> np.ndarray:
@@ -374,7 +374,7 @@ def pd_compose(Z: np.ndarray, lam: np.ndarray) -> np.ndarray:
     Q, R = np.linalg.qr(Z)
     d = np.diagonal(R, axis1=-2, axis2=-1)
     Q = Q * (d / np.abs(d))[..., None, :]
-    return hermitize((Q * lam[..., None, :]) @ ct(Q))
+    return from_eig(Q, lam)
 
 
 def sample_pd(n: int, seed: int, spread: float) -> np.ndarray:

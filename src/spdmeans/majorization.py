@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     BadOrder,
+    DimensionMismatch,
     EigFailure,
     LengthMismatch,
     NegativeEntry,
@@ -51,19 +52,17 @@ class MajorizationReport:
         return float(np.min(self.margins))
 
 
-def _sorted_desc(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size == 0:
-        raise LengthMismatch(f"{name} is empty")
-    return -np.sort(-v, kind="stable")
-
-
 def _check_lengths(y, x) -> tuple[np.ndarray, np.ndarray]:
-    y = _sorted_desc(y, "y")
-    x = _sorted_desc(x, "x")
+    """y and x as descending float vectors (a scalar is one entry), nonempty, of one length."""
+    y, x = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (y, x))
+    for name, v in (("y", y), ("x", x)):
+        if v.ndim != 1:
+            raise DimensionMismatch(f"{name} must be a vector, got shape {v.shape}")
+        if v.size == 0:
+            raise LengthMismatch(f"{name} is empty")
     if y.shape != x.shape:
         raise LengthMismatch(f"length mismatch: {y.size} vs {x.size}")
-    return y, x
+    return -np.sort(-y, kind="stable"), -np.sort(-x, kind="stable")
 
 
 def _sum_margins(y, x, tol: float) -> tuple[np.ndarray, float, float]:
@@ -139,11 +138,13 @@ def nonneg_spectrum(X) -> np.ndarray:
 
 
 def eig_log_majorizes(X, Y, tol: float = TAU_MAJ) -> MajorizationReport:
-    """Log majorization of matrices via their eigenvalue vectors.
+    """Log majorization of one pair of matrices via their eigenvalue vectors.
 
     For a product A B of positive definite factors, pass the Hermitian
     similarity A^{1/2} B A^{1/2} instead of the product itself.
     """
+    if np.ndim(X) > 2 or np.ndim(Y) > 2:
+        raise DimensionMismatch(f"X and Y must be single matrices, got {np.shape(X)}, {np.shape(Y)}")
     return log_majorizes(nonneg_spectrum(Y), nonneg_spectrum(X), tol)
 
 

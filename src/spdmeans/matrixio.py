@@ -25,35 +25,22 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _dump(value: Any, indent: int, out: list[str]) -> None:
-    pad = " " * indent
+def _dump(value: Any, pad: str = "") -> str:
+    """JSON text of ``value`` on lines indented by ``pad``: a dict, or a list
+    not all of bool/int/float/str, is one entry per line; a flat list is one line."""
     if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(value.items()):
-            out.append(f'{pad}  {json.dumps(str(k))}: ')
-            _dump(v, indent + 2, out)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        seq = list(value)
-        if not seq:
-            out.append("[]")
-            return
-        flat = all(isinstance(v, (bool, int, float, str)) for v in seq)
-        if flat:
-            out.append("[" + ", ".join(_scalar(v) for v in seq) + "]")
-        else:
-            out.append("[\n")
-            for i, v in enumerate(seq):
-                out.append(pad + "  ")
-                _dump(v, indent + 2, out)
-                out.append(",\n" if i < len(seq) - 1 else "\n")
-            out.append(pad + "]")
+        brackets, entries = "{}", [(json.dumps(str(k)) + ": ", v) for k, v in value.items()]
+    elif not isinstance(value, (list, tuple)):
+        return _scalar(value)
+    elif all(isinstance(v, (bool, int, float, str)) for v in value):
+        return "[" + ", ".join(map(_scalar, value)) + "]"
     else:
-        out.append(_scalar(value))
+        brackets, entries = "[]", [("", v) for v in value]
+    if not entries:
+        return brackets
+    inner = pad + "  "
+    body = ",\n".join(inner + key + _dump(v, inner) for key, v in entries)
+    return f"{brackets[0]}\n{body}\n{pad}{brackets[1]}"
 
 
 def _scalar(value: Any) -> str:
@@ -70,10 +57,7 @@ def _scalar(value: Any) -> str:
 
 def dumps(obj: Any) -> str:
     """Deterministic JSON text with 17-significant-digit floats."""
-    out: list[str] = []
-    _dump(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return _dump(obj) + "\n"
 
 
 def matrix_to_dict(M: np.ndarray) -> dict:

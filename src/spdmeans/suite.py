@@ -398,15 +398,15 @@ def _beyond_bound(t: float, s: float) -> bool:
     return s > s_provable_bound(t) + 1e-12
 
 
-def _natlog_factors(A, B, t, s) -> tuple[np.ndarray, np.ndarray]:
-    """Gram factors of the sandwich B^{ts/2} A^{(1-t)s} B^{ts/2} and of the spectral mean."""
-    a, b = spd(A), spd(B)
+def _natlog_factors(a, b, t, s) -> tuple[np.ndarray, np.ndarray]:
+    """Gram factors of the sandwich B^{ts/2} A^{(1-t)s} B^{ts/2} and of the
+    spectral mean, from the operands decomposed by ``spd``."""
     F_mid = power_from_eig(b.w, b.U, t * s / 2.0) @ power_from_eig(a.w, a.U, (1.0 - t) * s / 2.0)
     return F_mid, _nat_factor(a, b, t)
 
 
 def _natlog(A, B, t, s, tol, tally, factors=None):
-    F_mid, F_nat = _natlog_factors(A, B, t, s) if factors is None else factors
+    F_mid, F_nat = _natlog_factors(spd(A), spd(B), t, s) if factors is None else factors
     cols = {"t": t, "s": s}
     ok = _logmaj(cols, "sandwich_vs_mean", np.log(spectrum_of_factor(F_mid)) / s[:, None],
                  np.log(spectrum_of_factor(F_nat)), tol)
@@ -440,11 +440,8 @@ def _chain(A, B, t, tol, tally):
     tc = t[:, None, None]
     H = (1.0 - tc) * from_eig(a.U, np.log(a.w)) + tc * from_eig(b.U, np.log(b.w))
     log_le, U_le = _eigh(H)              # log lambda(e^H) = lambda(H)
-    F = {
-        "metric": _metric_factor(a, b, t),
-        "sandwich": power_from_eig(b.w, b.U, t / 2.0) @ power_from_eig(a.w, a.U, (1.0 - t) / 2.0),
-        "spectral": _nat_factor(a, b, t),
-    }
+    F_mid, F_nat = _natlog_factors(a, b, t, np.ones_like(t))   # the natlog pair at s = 1
+    F = {"metric": _metric_factor(a, b, t), "sandwich": F_mid, "spectral": F_nat}
     logs = {k: np.log(spectrum_of_factor(f)) for k, f in F.items()}
     logs["logeuclid"] = log_le
 
@@ -707,9 +704,6 @@ def _means_identities(A, B, t, r, s, alpha, beta, tol):
     def nat(C, x, w):                    # spectral mean from C = X^{-1} # Y
         return gram(_spectral_factor(C, x, w))
 
-    def mean(x, y, w):                   # spectral mean of decomposed operands
-        return nat(_inv_sharp(x, y), x, w)
-
     F_ab = _spectral_factor(C_ab, a, t)
     nat_ab, nat_ba = gram(F_ab), nat(C_ba, b, t)
     inv_a = spd(power_from_eig(a.w, a.U, -1.0))
@@ -718,7 +712,8 @@ def _means_identities(A, B, t, r, s, alpha, beta, tol):
     Gt = from_eig(C_ab[1], row_power(C_ab[0], t))
     Gti = _power(Gt, -1.0)
     cols = {"t": t, "r": r, "s": s}
-    cols["inversion"] = _equality(power_from_eig(n_ab.w, n_ab.U, -1.0), mean(inv_a, inv_b, t))
+    cols["inversion"] = _equality(power_from_eig(n_ab.w, n_ab.U, -1.0),
+                                  gram(_nat_factor(inv_a, inv_b, t)))
     cols["reversal"] = _equality(nat_ab, nat(C_ba, b, 1.0 - t))
     cols["factor_left"] = _equality(gram(_metric_factor(inv_a, n_ab, 0.5)), Gt)
     inv_n_ba = spd(power_from_eig(n_ba.w, n_ba.U, -1.0))
@@ -727,7 +722,7 @@ def _means_identities(A, B, t, r, s, alpha, beta, tol):
     cols["conjugation_reverse"] = _equality(hermitize(Gti @ B @ Gti), nat_ba)
     mix = (1.0 - t) * r + t * s
     cols["interpolation"] = _equality(
-        mean(spd(nat(C_ab, a, r)), spd(nat(C_ab, a, s)), t), nat(C_ab, a, mix))
+        gram(_nat_factor(spd(nat(C_ab, a, r)), spd(nat(C_ab, a, s)), t)), nat(C_ab, a, mix))
     cols["endpoint_a"] = _equality(nat(C_ab, a, 0.0), A)
     cols["endpoint_b"] = _equality(nat(C_ab, a, 1.0), B)
 
@@ -736,7 +731,7 @@ def _means_identities(A, B, t, r, s, alpha, beta, tol):
     target = (1.0 - t) * np.sum(np.log(a.w), axis=-1) + t * np.sum(np.log(b.w), axis=-1)
     cols["determinant"] = -np.abs(log_det_nat - target)
 
-    scaled = mean(spd(alpha[:, None, None] * A), spd(beta[:, None, None] * B), t)
+    scaled = gram(_nat_factor(spd(alpha[:, None, None] * A), spd(beta[:, None, None] * B), t))
     # the scalar factor in Python floats, as libm's pow
     coef = [x ** (1.0 - u) * y**u for x, y, u in zip(alpha.tolist(), beta.tolist(), t.tolist())]
     cols["homogeneity"] = _equality(scaled, np.array(coef)[:, None, None] * nat_ab)
@@ -754,7 +749,7 @@ def check_means_identities(A, B, t: float, r: float = 0.25, s: float = 0.75, alp
     the conjugating-factor identities, interpolation, endpoint values,
     determinant and homogeneity identities, and the square-root spectrum
     property of the midpoint mean."""
-    weights = [_check_weight(w) for w in (t, r, s)]
+    weights = _check_weight(t), _check_weight(r, "r"), _check_weight(s, "s")
     alpha, beta, tol = map(_check_positive, (alpha, beta, tol), ("alpha", "beta", "tol"))
     return _means_identities(*_one(A, B), *_col(*weights, alpha, beta), tol)[0]
 
@@ -807,9 +802,9 @@ def check_natlog_counterexample(
     reference values."""
     ce, tol = NATLOG_COUNTEREXAMPLE, _check_positive(tol, "tol")
     A, B, t, s = ce["A"], ce["B"], ce["t"], ce["s"]
-    inputs = (*_one(A, B), *_col(t, s))
-    F_mid, F_nat = factors = _natlog_factors(*inputs)
-    out = _natlog(*inputs, tol, tally, factors)[0]
+    ops, params = _one(A, B), _col(t, s)
+    F_mid, F_nat = factors = _natlog_factors(*map(spd, ops), *params)
+    out = _natlog(*ops, *params, tol, tally, factors)[0]
     out.check_id, out.witness = "counterexample_natlog", {"A": A, "B": B, "t": t, "s": s}
     sandwich, nat = _power(gram(F_mid), 1.0 / s)[0], gram(F_nat)[0]
     return _reproduce(out, ce, (np.linalg.eigvalsh(sandwich)[::-1], np.linalg.eigvalsh(nat)[::-1],
@@ -1128,7 +1123,7 @@ def _registry_rows(cfg: SuiteConfig, workers: int, tally: OracleTally) -> list[C
     as in a serial run."""
     count = len(_REGISTRY)
     workers = max(1, min(workers, count)) if hasattr(os, "fork") else 1
-    pids, unread, results = [], {}, {}  # unread: pid -> read end of its pipe
+    children, results = {}, {}          # worker -> [pid, read end of its pipe until read]
     try:
         for w in range(1, workers):
             read_fd, write_fd = os.pipe()
@@ -1140,28 +1135,26 @@ def _registry_rows(cfg: SuiteConfig, workers: int, tally: OracleTally) -> list[C
                 break
             if pid == 0:
                 try:
-                    for fd in (read_fd, *unread.values()):
+                    for fd in (read_fd, *(fd for _, fd in children.values())):
                         os.close(fd)
                     with open(write_fd, "wb") as pipe:
                         pipe.write(pickle.dumps(_share(cfg, range(w, count, workers))))
                 finally:
                     os._exit(0)
             os.close(write_fd)
-            pids.append(pid)
-            unread[pid] = read_fd
-        started = len(pids) + 1
-        results.update(_share(cfg, [i for i in range(count)
-                                    if i % workers == 0 or i % workers >= started]))
-        for pid in pids:
-            with open(unread.pop(pid), "rb") as pipe:
+            children[w] = [pid, read_fd]
+        results.update(_share(cfg, [i for i in range(count) if i % workers not in children]))
+        for child in children.values():
+            fd, child[1] = child[1], None
+            with open(fd, "rb") as pipe:
                 data = pipe.read()
             if not data:
-                raise ChildProcessError(f"check worker {pid} ended without a result")
+                raise ChildProcessError(f"check worker {child[0]} ended without a result")
             results.update(pickle.loads(data))
     finally:
-        for pid in pids:
-            if pid in unread:           # this process is raising: stop the child
-                os.close(unread.pop(pid))
+        for pid, fd in children.values():
+            if fd is not None:          # this process is raising: stop the child
+                os.close(fd)
                 os.kill(pid, 9)         # SIGKILL
             os.waitpid(pid, 0)
     rows = []

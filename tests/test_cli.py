@@ -56,6 +56,30 @@ class TestMatrixFiles:
         assert not np.iscomplexobj(back)
         assert np.array_equal(back, np.eye(2))
 
+    def test_json_layout_is_pinned(self):
+        """Containers holding a container take one entry per line, indented
+        two spaces a level; flat lists and scalars stay on one line.  A
+        numpy int64 is not a Python int, so a list holding one is not flat."""
+        obj = {"empty_dict": {}, "empty_list": [], "flat": [True, 1, 2.5, "x"],
+               "lists": [[1, 2], []], "dicts": [{"a": None, "b": {"c": [False]}}, {}],
+               "tuple": (1, 0.1), "int64": np.int64(7),
+               "numpy": [np.int64(3), np.float64(0.1)], "none": None}
+        assert matrixio.dumps(obj) == (
+            '{\n  "empty_dict": {},\n  "empty_list": [],\n  "flat": [true, 1, 2.5, "x"],\n'
+            '  "lists": [\n    [1, 2],\n    []\n  ],\n'
+            '  "dicts": [\n    {\n      "a": null,\n      "b": {\n        "c": [false]\n      }\n'
+            '    },\n    {}\n  ],\n'
+            '  "tuple": [1, 0.10000000000000001],\n  "int64": 7,\n'
+            '  "numpy": [\n    3,\n    0.10000000000000001\n  ],\n  "none": null\n}\n')
+
+    def test_complex_matrix_file_is_pinned(self, tmp_path):
+        path = write(tmp_path, "m.json", np.array([[2.0, 1 - 0.5j], [1 + 0.5j, 1.0 / 3.0]]))
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == (
+                '{\n  "n": 2,\n  "complex": true,\n'
+                '  "data_re": [\n    [2, 1],\n    [1, 0.33333333333333331]\n  ],\n'
+                '  "data_im": [\n    [0, -0.5],\n    [0.5, 0]\n  ]\n}\n')
+
     def test_malformed_payloads_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -2,6 +2,7 @@
 
 import itertools
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from spdmeans import (
     spectral_mean,
     weak_majorizes,
 )
-from spdmeans.errors import BadOrder, LengthMismatch, NegativeEntry, NonrealSpectrum, NumericBreakdown
+from spdmeans.errors import (BadOrder, DimensionMismatch, LengthMismatch, NegativeEntry,
+                             NonrealSpectrum, NumericBreakdown)
 from spdmeans.suite import NATLOG_COUNTEREXAMPLE
 
 
@@ -161,6 +163,24 @@ class TestEigLogMajorizes:
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
         with pytest.raises(NonrealSpectrum):
             eig_log_majorizes(rot, rot)
+
+
+STACK_X = np.stack([np.diag([1.0, 1.0]), np.diag([2.0, 0.5])])
+STACK_Y = np.stack([np.diag([2.0, 0.5]), np.diag([1.0, 1.0])])
+
+
+@pytest.mark.parametrize("call, message", [
+    (partial(eig_log_majorizes, STACK_X, STACK_Y), "X and Y must be single matrices"),
+    (partial(log_majorizes, [[2.0, 1.0], [1.0, 0.5]], [2.0, 1.0, 1.0, 0.5]), "y must be a vector"),
+    (partial(majorizes, np.ones((2, 3)), np.ones((3, 2))), "y must be a vector"),
+], ids=["stacked-matrices", "matrix-vs-vector", "mis-shaped"])
+def test_reports_take_one_pair_of_vectors_or_matrices(call, message):
+    """A stack, or a matrix passed as a spectrum, is refused rather than
+    flattened into one long vector, which made each of these calls true
+    although the stacked pair 1 alone is false."""
+    assert not eig_log_majorizes(STACK_X[1], STACK_Y[1]).verdict
+    with pytest.raises(DimensionMismatch, match=message):
+        call()
 
 
 class TestKyFanNorm:

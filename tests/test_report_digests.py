@@ -5,8 +5,13 @@ and so do seeds 0 and 40 at both.  The seed-1 default report is also
 checked with the process restricted to one CPU, where the checks run
 serially in one process.
 A change that moves any verdict or margin of a report fails here; where no
-digest is recorded for the environment the test skips."""
+digest is recorded for the environment the test skips.  The JSON report of
+each such run is checked against its CSV: every check's row count and worst
+margin, no failure, and an expected-false verdict for the two fixtures
+alone, so together with the pinned JSON layout (``tests/test_cli.py``) the
+recorded digests pin both reports."""
 
+import csv
 import hashlib
 import json
 import os
@@ -18,6 +23,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
+FIXTURES = {"counterexample_natlog", "counterexample_monotone"}
 WORKLOADS = {
     "verify_default": [],
     "verify_large_n": ["--dims", "40,64", "--trials", "20", "--limit-trials", "5"],
@@ -53,6 +59,17 @@ def check_digest(workload: str, seed: int, recorded, tmp_path, env, preexec_fn=N
         env=env, cwd=tmp_path, capture_output=True, text=True, preexec_fn=preexec_fn)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == want
+    margins: dict[str, list[float]] = {}
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            margins.setdefault(row["check_id"], []).append(float(row["worst_margin"]))
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report["ok"] is True and report["failure_rows"] == []
+    assert sorted(report["checks"]) == sorted(margins)
+    for check_id, entry in report["checks"].items():
+        assert entry == {"expected": "false" if check_id in FIXTURES else "true",
+                         "rows": len(margins[check_id]), "failures": 0,
+                         "worst_margin": min(margins[check_id])}, check_id
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

@@ -398,6 +398,10 @@ class TestCounterexampleChecks:
 @pytest.mark.parametrize("check, name", [
     (check_loewner_heinz, "r"), (check_lambda1, "s"),
     pytest.param(partial(check_natlog, s=1.0), "weight t", id="check_natlog-t"),
+    pytest.param(lambda A, B, r: check_means_identities(A, B, 0.5, r=r), "r",
+                 id="check_means_identities-r"),
+    pytest.param(lambda A, B, s: check_means_identities(A, B, 0.5, s=s), "s",
+                 id="check_means_identities-s"),
 ])
 @pytest.mark.parametrize("value", [-0.5, 1.5])
 def test_unit_interval_parameters_are_range_checked(check, name, value):

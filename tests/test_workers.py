@@ -3,6 +3,7 @@ oracle tally and the first error do not depend on the worker count, and
 no worker outlives the run."""
 
 import os
+import stat
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ import pytest
 from spdmeans import OracleTally, SuiteConfig, run_suite
 from spdmeans import suite
 from spdmeans.errors import NumericBreakdown
-from spdmeans.suite import _REGISTRY, _registry_rows
+from spdmeans.suite import _REGISTRY, CheckOutcome, _registry_rows
 
 # failing rows (with witnesses) at tol 1e-14, and n = 1 next to n = 5
 CFG = SuiteConfig(seed=3, trials=6, limit_trials=2, dims=(1, 5), tol=1e-14)
@@ -118,6 +119,35 @@ def test_a_check_error_wins_over_a_fixture_error(workers, fixture, check, monkey
     patch_registry(monkeypatch, {idx: raising(idx), check: raising(check)})
     with pytest.raises(NumericBreakdown, match=f"^check {check} broke down$"):
         registry_rows(workers)
+    assert_no_children()
+
+
+def pipe_read_ends() -> set[int]:
+    """This process's descriptors open on the read end of a pipe."""
+    import fcntl                        # POSIX only, as is os.fork
+    ends = set()
+    for fd in map(int, os.listdir("/dev/fd")):
+        try:
+            if (stat.S_ISFIFO(os.fstat(fd).st_mode)
+                    and fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_ACCMODE == os.O_RDONLY):
+                ends.add(fd)
+        except OSError:                 # the descriptor listdir itself used
+            pass
+    return ends
+
+
+@fork_only
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_a_worker_holds_no_read_end_of_the_result_pipes(monkeypatch):
+    """Only the caller reads the results: a forked worker closes the read
+    end of its own pipe and of each earlier worker's, which it inherits.
+    With three workers, check 2 runs in the second child."""
+    before = pipe_read_ends()
+    monkeypatch.setattr(suite, "_REGISTRY", (*_REGISTRY[:2], _REGISTRY[2]._replace(
+        public=lambda *inputs, **options: CheckOutcome(
+            "probe", True, 0.0, detail={"read_ends": len(pipe_read_ends() - before)}))))
+    rows, _ = registry_rows(3)
+    assert [out.detail for out in rows if out.check_id == "probe"] == [{"read_ends": 0}]
     assert_no_children()
 
 
