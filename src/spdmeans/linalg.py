@@ -15,7 +15,6 @@ eigensystems keep only the positive-definite floor.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 
@@ -62,10 +61,17 @@ def pymax(a, b):
     return np.where(b > a, b, a)
 
 
+def _square_defect(X: np.ndarray) -> str:
+    """Why X is not an n x n numeric matrix (or stack) with n >= 1; '' if it is."""
+    if X.ndim < 2 or X.shape[-1] != X.shape[-2] or X.shape[-1] < 1:
+        return f"must be square with n >= 1, got shape {X.shape}"
+    return "" if X.dtype.kind in "iufc" else f"must be numeric, got dtype {X.dtype}"
+
+
 def require_square(X, name: str = "matrix") -> np.ndarray:
     X = np.asarray(X)
-    if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
-        raise NonHermitianInput(f"{name} must be square, got shape {X.shape}")
+    if defect := _square_defect(X):
+        raise NonHermitianInput(f"{name} {defect}")
     return X
 
 
@@ -78,20 +84,23 @@ def require_same_shape(*Xs) -> list[np.ndarray]:
     return Xs
 
 
+def _hermitian_mask(X: np.ndarray, tol: float) -> np.ndarray:
+    """Finite entries and symmetry of each matrix of a square stack, as a numpy bool (array)."""
+    finite = (scale := max_abs(X)) < np.inf   # false for an inf or NaN entry, zeroed before X - X*
+    X = np.where(finite[..., None, None], X, 0) if any_true(~finite) else X
+    return finite & (max_abs(X - ct(X)) <= tol * (1.0 + scale))
+
+
 def is_hermitian(X, tol: float = ETA_HERM):
     """Finite entries and symmetry, per matrix: a bool for one matrix, a bool array for a stack."""
     X = np.asarray(X)
-    if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
-        return False
-    finite = (scale := max_abs(X)) < np.inf   # false for an inf or NaN entry, zeroed before X - X*
-    X = np.where(finite[..., None, None], X, 0) if any_true(~finite) else X
-    return unbatch(finite & (max_abs(X - ct(X)) <= tol * (1.0 + scale)))
+    return False if _square_defect(X) else unbatch(_hermitian_mask(X, tol))
 
 
 def require_hermitian(X, tol: float = ETA_HERM) -> np.ndarray:
     """Validate the Hermitian invariant (``is_hermitian``) and return X as an ndarray."""
     X = require_square(X)
-    if not all(np.ravel(is_hermitian(X, tol))):
+    if any_true(~_hermitian_mask(X, tol)):
         if not np.all(max_abs(X) < np.inf):
             raise NonHermitianInput("matrix entries must be finite")
         raise NonHermitianInput(f"symmetry defect {max_abs(X - ct(X)).max():.3e} exceeds tolerance")
@@ -100,7 +109,7 @@ def require_hermitian(X, tol: float = ETA_HERM) -> np.ndarray:
 
 def is_unitary(U: np.ndarray, tol: float = ETA_UNIT):
     U = np.asarray(U)
-    if U.ndim < 2 or U.shape[-1] != U.shape[-2]:
+    if _square_defect(U):
         return False
     gram = U @ ct(U)
     return unbatch(max_abs(gram - np.eye(U.shape[-1])) <= tol * (1.0 + max_abs(gram)))
@@ -191,6 +200,21 @@ def mat_power(P, r: float) -> np.ndarray:
     return _power(require_hermitian(P), r)
 
 
+class _lazy:
+    """``functools.cached_property`` without its lock (as in Python 3.12):
+    the first access stores the value in the instance ``__dict__``, which
+    then shadows this descriptor; racing first accesses build equal values."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.build.__name__] = self.build(obj)
+        return value
+
+
 class Spd:
     """A positive definite stack's eigensystem ``w, U``; its square roots
     ``root`` and ``inv_root`` are built on first use."""
@@ -198,11 +222,11 @@ class Spd:
     def __init__(self, w: np.ndarray, U: np.ndarray):
         self.w, self.U = w, U
 
-    @cached_property
+    @_lazy
     def root(self) -> np.ndarray:
         return from_eig(self.U, np.sqrt(self.w))
 
-    @cached_property
+    @_lazy
     def inv_root(self) -> np.ndarray:
         return hermitize((self.U / np.sqrt(self.w)[..., None, :]) @ ct(self.U))
 

@@ -5,18 +5,22 @@ import pytest
 import scipy.linalg
 
 from spdmeans import (
+    check_means_identities,
     compound,
     hermitian_eig,
     hermitize,
+    is_hermitian,
     is_unitary,
     mat_exp,
     mat_log,
     mat_power,
+    metric_mean,
     sample_pd,
+    spectral_mean,
     spectrum_of_factor,
 )
 from spdmeans.errors import BadOrder, NonHermitianInput, NonPositiveSpectrum
-from spdmeans.linalg import ETA_UNIT, TAU_RECON, power_from_eig, spd
+from spdmeans.linalg import ETA_UNIT, TAU_RECON, power_from_eig, require_hermitian, spd
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -208,3 +212,69 @@ def test_half_power_from_eig_is_the_cached_root_bitwise(n):
     G = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
     s = spd(G @ G.conj().transpose(0, 2, 1) + 1e-3 * np.eye(n))
     assert power_from_eig(s.w, s.U, 0.5).tobytes() == s.root.tobytes()
+
+
+def _validation_cases() -> dict[str, tuple[np.ndarray, str | None]]:
+    """One 3 x 3 matrix per case of the Hermitian predicate, with the
+    message ``require_hermitian`` raises for it (None: it passes)."""
+    good = sample_pd(3, 11, 10.0)
+    finite, symmetry = "matrix entries must be finite", "symmetry defect .* exceeds tolerance"
+    edits = {"good": ((0, 0), good[0, 0], None),
+             "nan-entry": ((1, 1), np.nan, finite),
+             "off-diagonal-inf": ((0, 2), np.inf, finite),
+             "diagonal-inf": ((2, 2), np.inf, finite),
+             "beyond-tol": ((0, 1), good[0, 1] + 1e-6, symmetry),
+             "within-tol": ((0, 1), good[0, 1] + 1e-12, None)}
+    cases = {}
+    for name, (entry, value, message) in edits.items():
+        cases[name] = good.copy(), message
+        cases[name][0][entry] = value
+    return cases
+
+
+@pytest.mark.filterwarnings("error")
+def test_hermitian_validation_per_matrix_of_a_stack():
+    """``is_hermitian`` is one predicate per matrix: finite entries (an inf
+    whose transposed entry is finite would pass the defect test alone, as
+    inf - 1 <= inf) and a symmetry defect within tol; ``require_hermitian``
+    names which of the two failed."""
+    cases = _validation_cases()
+    stack = np.stack([M for M, _ in cases.values()])
+    assert is_hermitian(stack).tolist() == [message is None for _, message in cases.values()]
+    for name, (M, message) in cases.items():
+        assert is_hermitian(M) is (message is None), name
+        if message is None:
+            assert require_hermitian(M) is M
+            continue
+        for X in (M, np.stack([cases["good"][0], M])):
+            with pytest.raises(NonHermitianInput, match=message):
+                require_hermitian(X)
+
+
+UNSUPPORTED = {
+    "empty": np.zeros((0, 0)),
+    "bool": np.eye(2, dtype=bool),
+    "object": np.eye(2).astype(object),
+}
+BOUNDARY = {
+    "metric_mean": lambda X: metric_mean(X, X, 0.5),
+    "spectral_mean": lambda X: spectral_mean(X, X, 0.5),
+    "hermitian_eig": hermitian_eig,
+    "mat_power": lambda X: mat_power(X, 0.5),
+    "mat_log": mat_log,
+    "mat_exp": mat_exp,
+    "compound": lambda X: compound(X, 1),
+    "check_means_identities": lambda X: check_means_identities(X, X, 0.5),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("X", UNSUPPORTED.values(), ids=UNSUPPORTED)
+@pytest.mark.parametrize("fn", BOUNDARY.values(), ids=BOUNDARY)
+def test_boundary_rejects_empty_and_non_numeric_matrices(fn, X):
+    """A matrix must have n >= 1 and a numeric dtype; anything else is the
+    package's error at the boundary, not an IndexError, a numpy TypeError
+    or an empty result from inside."""
+    assert is_hermitian(X) is False and is_unitary(X) is False
+    with pytest.raises(NonHermitianInput, match="must be square with n >= 1|must be numeric"):
+        fn(X)

@@ -17,6 +17,7 @@ from spdmeans import (
     spectrum_of_factor,
 )
 from spdmeans.errors import DimensionMismatch, NonPositiveSpectrum
+from spdmeans.linalg import mat_sqrt_pair
 from spdmeans.suite import NATLOG_COUNTEREXAMPLE
 
 
@@ -243,3 +244,61 @@ def test_singular_operand_raises_nonpositive_spectrum(fn, singular, side):
 def test_singular_mat_power_raises_nonpositive_spectrum(singular, r):
     with pytest.raises(NonPositiveSpectrum):
         mat_power(singular, r)
+
+
+# --- the public means' bits, transcribed step by step in plain numpy -------
+
+def _ct(X):
+    return X.conj().swapaxes(-1, -2)
+
+
+def _h(X):
+    return (X + _ct(X)) / 2
+
+
+def _roots(P):
+    """P^{1/2} and P^{-1/2} from the descending eigensystem of (P + P*)/2."""
+    w, U = np.linalg.eigh(_h(P))
+    w, U = w[::-1].copy(), U[:, ::-1].copy()
+    return _h((U * np.sqrt(w)) @ _ct(U)), _h((U / np.sqrt(w)[None, :]) @ _ct(U))
+
+
+def _formulas(A, B, t):
+    """metric_mean, spectral_mean, g_factor and mat_sqrt_pair(A) as the
+    package evaluates them, through Gram factors."""
+    (ra, ia), (rb, _) = _roots(A), _roots(B)
+    Uk, s, _ = np.linalg.svd(ia @ rb)
+    metric = (ra @ Uk) * s ** t
+    Us, s, _ = np.linalg.svd(ra @ rb)                  # A^{-1} # B = G G*
+    Ug, g, _ = np.linalg.svd((ia @ Us) * np.sqrt(s))
+    Ct = (Ug * (g * g) ** t) @ _ct(Ug)
+    return [_h(metric @ _ct(metric)), _h((Ct @ ra) @ _ct(Ct @ ra)), _h(Ct), ra, ia]
+
+
+def _pair(kind: str, n: int, seed: int):
+    rng = np.random.default_rng(seed)
+
+    def spd(cplx):
+        Z = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if cplx else 0)
+        Q, _ = np.linalg.qr(Z)
+        return _h((Q * np.exp(rng.uniform(-3, 3, n))) @ _ct(Q))
+
+    if kind == "complex-diagonal":
+        return np.diag(np.exp(rng.uniform(-3, 3, n))).astype(complex), spd(True)
+    return spd(kind != "real"), spd(kind == "complex")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 16])
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed", "complex-diagonal"])
+def test_public_means_are_bitwise_their_factor_formulas(kind, n):
+    """The bits of the public means do not depend on how the package
+    validates or caches: each equals its Gram-factor formula evaluated
+    step by step, down to the sign of zero (compared as uint64 words)."""
+    A, B = _pair(kind, n, 100 * n + len(kind))
+    for t in (0.0, 0.3, 0.5, 1.0):
+        got = [metric_mean(A, B, t), spectral_mean(A, B, t), g_factor(A, B, t),
+               *mat_sqrt_pair(A)]
+        for name, x, y in zip(["metric", "spectral", "g_factor", "root", "inv_root"], got,
+                              _formulas(A, B, t)):
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert np.array_equal(x.view(np.uint64), y.view(np.uint64)), (name, t)

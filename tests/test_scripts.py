@@ -14,6 +14,9 @@ LAPACK_COUNTS = {
                 "solve 6", "eigvals 5"],
     "large-n": ["total 3336", "svd 1440", "eigh 1168", "qr 416", "eigvalsh 258", "det 20",
                 "solve 20", "eigvals 14"],
+    # one call of each public function on a seeded 4 x 4 pair
+    "means": ["metric_mean eigh 2 svd 1", "spectral_mean eigh 2 svd 2", "g_factor eigh 2 svd 2",
+              "similarity_witness eigh 4 svd 5", "mat_power eigh 1"],
 }
 
 
@@ -34,7 +37,7 @@ def test_script_prints_one_row_per_table(script, args, subprocess_env):
     assert len(rows) == sum(line.startswith("|---") for line in lines) >= 1
 
 
-@pytest.mark.parametrize("large_n", [[], ["--large-n"]], ids=["default", "large-n"])
-def test_lapack_counts_prints_the_total_and_each_entry_point(large_n, subprocess_env):
-    lines = run_script("lapack_counts.py", large_n, subprocess_env)
-    assert lines == LAPACK_COUNTS["large-n" if large_n else "default"]
+@pytest.mark.parametrize("run", LAPACK_COUNTS)
+def test_lapack_counts_prints_the_total_and_each_entry_point(run, subprocess_env):
+    lines = run_script("lapack_counts.py", [] if run == "default" else [f"--{run}"], subprocess_env)
+    assert lines == LAPACK_COUNTS[run]
