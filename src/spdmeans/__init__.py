@@ -1,7 +1,10 @@
 """Weighted metric and spectral geometric means of positive definite
 matrices, majorization orderings on their spectra, and an executable
 verification suite for the identities, inequalities, limits and
-counterexamples relating them."""
+counterexamples relating them.  The majorization and suite modules load
+on the first use of one of their names (PEP 562)."""
+
+from importlib import import_module as _import_module
 
 from . import errors
 from .linalg import (
@@ -17,15 +20,6 @@ from .linalg import (
     spectral_norm,
     spectrum_of_factor,
 )
-from .majorization import (
-    MajorizationReport,
-    compound_cross_check,
-    eig_log_majorizes,
-    ky_fan_norm,
-    log_majorizes,
-    majorizes,
-    weak_majorizes,
-)
 from .means import (
     SimilarityWitness,
     g_factor,
@@ -35,29 +29,32 @@ from .means import (
     spectral_mean,
     spectral_mean_factor,
 )
-from .suite import (
-    CheckOutcome,
-    OracleTally,
-    SuiteConfig,
-    check_chain,
-    check_geometric_power,
-    check_lambda1,
-    check_limit_sandwich,
-    check_limit_spectral,
-    check_loewner_heinz,
-    check_loewner_monotone_geometric,
-    check_means_identities,
-    check_natlog,
-    check_natlog_counterexample,
-    check_similarity,
-    check_spectral_not_monotone,
-    check_spectral_power,
-    check_trace_corollary,
-    run_suite,
-    summarize,
-)
 
 __version__ = "0.1.0"
+
+# name -> module, for what loads on first use.  Names are looked up on every access,
+# never stored here, so a patched module attribute shows through the package.
+_LAZY = {name: module for module, names in {
+    "majorization": ("MajorizationReport compound_cross_check eig_log_majorizes ky_fan_norm "
+                     "log_majorizes majorizes weak_majorizes"),
+    "suite": ("CheckOutcome OracleTally SuiteConfig check_chain check_geometric_power "
+              "check_lambda1 check_limit_sandwich check_limit_spectral check_loewner_heinz "
+              "check_loewner_monotone_geometric check_means_identities check_natlog "
+              "check_natlog_counterexample check_similarity check_spectral_not_monotone "
+              "check_spectral_power check_trace_corollary run_suite summarize"),
+}.items() for name in (module, *names.split())}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f"{__name__}.{_LAZY[name]}")
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "CheckOutcome", "MajorizationReport", "OracleTally", "SimilarityWitness",

@@ -61,16 +61,18 @@ def pymax(a, b):
     return np.where(b > a, b, a)
 
 
-def _square_defect(X: np.ndarray) -> str:
-    """Why X is not an n x n numeric matrix (or stack) with n >= 1; '' if it is."""
-    if X.ndim < 2 or X.shape[-1] != X.shape[-2] or X.shape[-1] < 1:
-        return f"must be square with n >= 1, got shape {X.shape}"
+def _matrix_defect(X: np.ndarray, square: bool = True) -> str:
+    """Why X is not a numeric matrix (or stack) with a row and a column, and
+    square if ``square``; '' if it is.  Reads attributes, not entries."""
+    if X.ndim < 2 or 0 in X.shape[-2:] or square and X.shape[-1] != X.shape[-2]:
+        shape = "square with n >= 1" if square else "a matrix with a row and a column"
+        return f"must be {shape}, got shape {X.shape}"
     return "" if X.dtype.kind in "iufc" else f"must be numeric, got dtype {X.dtype}"
 
 
-def require_square(X, name: str = "matrix") -> np.ndarray:
+def require_matrix(X, name: str = "matrix", square: bool = True) -> np.ndarray:
     X = np.asarray(X)
-    if defect := _square_defect(X):
+    if defect := _matrix_defect(X, square):
         raise NonHermitianInput(f"{name} {defect}")
     return X
 
@@ -94,12 +96,12 @@ def _hermitian_mask(X: np.ndarray, tol: float) -> np.ndarray:
 def is_hermitian(X, tol: float = ETA_HERM):
     """Finite entries and symmetry, per matrix: a bool for one matrix, a bool array for a stack."""
     X = np.asarray(X)
-    return False if _square_defect(X) else unbatch(_hermitian_mask(X, tol))
+    return False if _matrix_defect(X) else unbatch(_hermitian_mask(X, tol))
 
 
 def require_hermitian(X, tol: float = ETA_HERM) -> np.ndarray:
     """Validate the Hermitian invariant (``is_hermitian``) and return X as an ndarray."""
-    X = require_square(X)
+    X = require_matrix(X)
     if any_true(~_hermitian_mask(X, tol)):
         if not np.all(max_abs(X) < np.inf):
             raise NonHermitianInput("matrix entries must be finite")
@@ -109,7 +111,7 @@ def require_hermitian(X, tol: float = ETA_HERM) -> np.ndarray:
 
 def is_unitary(U: np.ndarray, tol: float = ETA_UNIT):
     U = np.asarray(U)
-    if _square_defect(U):
+    if _matrix_defect(U):
         return False
     gram = U @ ct(U)
     return unbatch(max_abs(gram - np.eye(U.shape[-1])) <= tol * (1.0 + max_abs(gram)))
@@ -265,7 +267,7 @@ def spectrum_of_factor(F: np.ndarray) -> np.ndarray:
     effective condition number seen by the decomposition, which is what
     makes tight log-majorization margins attainable in double precision.
     """
-    s = np.linalg.svd(np.asarray(F), compute_uv=False)
+    s = np.linalg.svd(require_matrix(F, "factor", square=False), compute_uv=False)
     return s * s
 
 
@@ -281,7 +283,7 @@ def compound(M, k: int) -> np.ndarray:
     lexicographic order, so ``compound(M, 1) == M`` and
     ``compound(M, n) == [[det M]]``.
     """
-    M = require_square(M, "M")
+    M = require_matrix(M, "M")
     n = M.shape[-1]
     if not isinstance(k, (int, np.integer)) or k < 1 or k > n:
         raise BadOrder(f"compound order k={k} outside 1..{n}")
@@ -409,13 +411,14 @@ def sample_pd(n: int, seed: int, spread: float) -> np.ndarray:
     (n, seed, spread), with ``seed`` a nonnegative int of any size; spread 1
     forces a unit spectrum, i.e. the identity.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not 1.0 <= spread < np.inf:
         raise ValueError(f"spread must be finite and >= 1, got {spread}")
     return pd_compose(*pd_draws(n, rng_keys(require_seed(seed)), [spread]))[0]
 
 
 def spectral_norm(X):
-    """Largest singular value (per matrix of a stack)."""
-    return unbatch(np.linalg.svd(np.asarray(X), compute_uv=False)[..., 0])
+    """Largest singular value (per matrix of a stack; square or not)."""
+    X = require_matrix(X, "factor", square=False)
+    return unbatch(np.linalg.svd(X, compute_uv=False)[..., 0])

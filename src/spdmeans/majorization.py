@@ -23,7 +23,7 @@ from .errors import (
     NonrealSpectrum,
     NumericBreakdown,
 )
-from .linalg import (_compound, _eigh, is_hermitian, pymax, require_same_shape, require_square,
+from .linalg import (_compound, _eigh, is_hermitian, pymax, require_same_shape, require_matrix,
                      unbatch)
 
 TAU_MAJ = 1e-9         # default slack: absolute on sums, log-space absolute
@@ -118,7 +118,7 @@ def nonneg_spectrum(X) -> np.ndarray:
     tolerance raise NonrealSpectrum.  In a stack the choice is made per
     matrix.
     """
-    X = require_square(X, "X")
+    X = require_matrix(X, "X")
     n = X.shape[-1]
     flat = X.reshape(-1, n, n)
     herm = is_hermitian(flat)
@@ -150,7 +150,7 @@ def eig_log_majorizes(X, Y, tol: float = TAU_MAJ) -> MajorizationReport:
 
 def ky_fan_norm(X, k: int):
     """Sum of the k largest singular values; k=1 is the spectral norm."""
-    X = require_square(X, "X")
+    X = require_matrix(X, "X")
     n = X.shape[-1]
     if not isinstance(k, (int, np.integer)) or k < 1 or k > n:
         raise BadOrder(f"Ky Fan order k={k} outside 1..{n}")
@@ -200,7 +200,7 @@ def compound_cross_check(X, Y, tol: float = TAU_MAJ):
     Restricted to n <= 5 because the compounds grow combinatorially.  On
     stacks the verdict is per pair of matrices.
     """
-    X, Y = require_same_shape(require_square(X, "X"), require_square(Y, "Y"))
+    X, Y = require_same_shape(require_matrix(X, "X"), require_matrix(Y, "Y"))
     if X.shape[-1] > 5:
         raise BadOrder(f"compound cross check limited to n <= 5, got {X.shape[-1]}")
     return unbatch(_compound_order(_compound_spectra(X), _compound_spectra(Y), tol))

@@ -17,6 +17,7 @@ from spdmeans import (
     metric_mean,
     sample_pd,
     spectral_mean,
+    spectral_norm,
     spectrum_of_factor,
 )
 from spdmeans.errors import BadOrder, NonHermitianInput, NonPositiveSpectrum
@@ -192,6 +193,10 @@ class TestSamplePd:
             sample_pd(0, 1, 10.0)
         with pytest.raises(ValueError):
             sample_pd(2, 1, 0.5)
+        for n in (2.0, True, "3", None):
+            with pytest.raises(ValueError, match="^n must be an integer >= 1"):
+                sample_pd(n, 1, 10.0)
+        assert np.array_equal(sample_pd(np.int64(3), 1, 10.0), sample_pd(3, 1, 10.0))
 
 
 def test_spectrum_of_factor_matches_gram_eigenvalues():
@@ -265,6 +270,8 @@ BOUNDARY = {
     "mat_exp": mat_exp,
     "compound": lambda X: compound(X, 1),
     "check_means_identities": lambda X: check_means_identities(X, X, 0.5),
+    "spectral_norm": spectral_norm,
+    "spectrum_of_factor": spectrum_of_factor,
 }
 
 
@@ -276,5 +283,15 @@ def test_boundary_rejects_empty_and_non_numeric_matrices(fn, X):
     package's error at the boundary, not an IndexError, a numpy TypeError
     or an empty result from inside."""
     assert is_hermitian(X) is False and is_unitary(X) is False
-    with pytest.raises(NonHermitianInput, match="must be square with n >= 1|must be numeric"):
+    with pytest.raises(NonHermitianInput,
+                       match="must be square with n >= 1|must be numeric|must be a matrix with a row"):
         fn(X)
+
+
+@pytest.mark.parametrize("fn", [spectral_norm, spectrum_of_factor])
+def test_factor_functions_take_non_square_factors_but_no_vector(fn):
+    F = np.arange(6.0).reshape(2, 3)
+    s = np.linalg.svd(F, compute_uv=False)
+    assert np.array_equal(fn(F), s[0] if fn is spectral_norm else s * s)
+    with pytest.raises(NonHermitianInput, match="must be a matrix with a row and a column"):
+        fn(np.ones(3))

@@ -18,6 +18,12 @@ LAPACK_COUNTS = {
     "means": ["metric_mean eigh 2 svd 1", "spectral_mean eigh 2 svd 2", "g_factor eigh 2 svd 2",
               "similarity_witness eigh 4 svd 5", "mat_power eigh 1"],
 }
+# the modules each import loads: the suite and majorization wait for first use
+IMPORTED = {
+    "spdmeans": "spdmeans spdmeans.errors spdmeans.linalg spdmeans.means",
+    "spdmeans.cli": ("spdmeans spdmeans.cli spdmeans.errors spdmeans.linalg spdmeans.majorization "
+                     "spdmeans.matrixio spdmeans.means spdmeans.suite"),
+}
 
 
 def run_script(script, args, env) -> list[str]:
@@ -41,3 +47,11 @@ def test_script_prints_one_row_per_table(script, args, subprocess_env):
 def test_lapack_counts_prints_the_total_and_each_entry_point(run, subprocess_env):
     lines = run_script("lapack_counts.py", [] if run == "default" else [f"--{run}"], subprocess_env)
     assert lines == LAPACK_COUNTS[run]
+
+
+def test_import_cost_prints_the_modules_each_import_loads(subprocess_env):
+    lines = run_script("import_cost.py", ["--runs", "1"], subprocess_env)
+    assert lines[0] in ("dont_write_bytecode True", "dont_write_bytecode False")
+    assert lines[1::2] == [f"{target} modules: {modules}" for target, modules in IMPORTED.items()]
+    for line, target in zip(lines[2::2], IMPORTED):
+        assert line.startswith(f"{target} wall_ms ") and line.endswith(" runs 1")

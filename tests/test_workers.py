@@ -193,6 +193,52 @@ def test_importing_the_package_loads_no_process_pool(subprocess_env):
     assert proc.stdout.strip() == "[]"
 
 
+LAZY_IMPORT_PROBE = """
+import importlib, sys
+import spdmeans
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "spdmeans")
+print(loaded())
+for name in ("suite", "majorization"):
+    assert getattr(spdmeans, name) is importlib.import_module("spdmeans." + name), name
+for name in spdmeans.__all__:
+    obj = getattr(spdmeans, name)
+    if name == "errors":
+        assert obj is sys.modules["spdmeans.errors"]
+    else:
+        home = obj.__module__
+        assert home.startswith("spdmeans.") and vars(sys.modules[home])[name] is obj, name
+star = {}
+exec("from spdmeans import *", star)
+assert all(star[name] is getattr(spdmeans, name) for name in spdmeans.__all__)
+assert set(spdmeans.__all__) <= set(dir(spdmeans))
+assert "check_natlog" not in vars(spdmeans)
+original, spdmeans.suite.check_natlog = spdmeans.suite.check_natlog, object()
+assert spdmeans.check_natlog is spdmeans.suite.check_natlog is not original
+spdmeans.suite.check_natlog = original
+try:
+    spdmeans.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("no AttributeError")
+import spdmeans.cli
+print(loaded())
+"""
+
+
+def test_importing_the_package_loads_only_the_means(subprocess_env):
+    """``import spdmeans`` leaves the suite and majorization to first use;
+    every exported name still resolves, to its home module's object, and
+    the command line loads the suite up front."""
+    proc = subprocess.run([sys.executable, "-c", LAZY_IMPORT_PROBE], env=subprocess_env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    bare, cli = proc.stdout.splitlines()
+    assert bare == str(["spdmeans", "spdmeans.errors", "spdmeans.linalg", "spdmeans.means"])
+    assert "'spdmeans.suite'" in cli
+
+
 def test_a_run_does_not_import_numpy_ma(subprocess_env):
     """numpy.ma, which np.unique imports on first use, costs each forked
     worker about 14 ms; on one CPU every check runs in the process asked."""
