@@ -24,13 +24,14 @@ import numpy as np
 
 from . import matrixio
 from .errors import SpdMeansError
-from .linalg import require_hermitian, require_same_shape, sample_pd, spectral_norm
-from .means import _check_weight, metric_mean, spectral_mean
+from .linalg import _spectral_norm, require_real, sample_pd
+from .means import metric_mean, spectral_mean
 from .suite import (
     MONOTONE_COUNTEREXAMPLE,
     NATLOG_COUNTEREXAMPLE,
     REPRODUCTION,
     SuiteConfig,
+    _one,
     check_natlog_counterexample,
     check_spectral_not_monotone,
     dyadic_grid,
@@ -54,10 +55,6 @@ def _print_matrix(label: str, M: np.ndarray) -> None:
     print(f"{label}:")
     for row in np.asarray(M):
         print("  " + "  ".join(f"{v: .6f}" for v in row.real))
-
-
-def _load_hermitian(path: str) -> np.ndarray:
-    return require_hermitian(matrixio.read_matrix(path))
 
 
 def _cmd_mean(args) -> int:
@@ -124,15 +121,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    A, B = require_same_shape(_load_hermitian(args.a_file), _load_hermitian(args.b_file))
-    A, B, t = A[None], B[None], np.array([_check_weight(args.t, "t")])
+    A, B = _one(matrixio.read_matrix(args.a_file), matrixio.read_matrix(args.b_file))
+    t = np.array([require_real(args.t, "t", 0.0, 1.0)])
     grid = dyadic_grid(args.p_min_exp)
     target = limit_target(A, B, t)
     errs = {"spectral": [], "sandwich": []}
     traces = []
     for family, err in errs.items():
         for _, _, members in limit_members(family, A, B, t, grid):
-            err.extend(spectral_norm(members - target))
+            err.extend(_spectral_norm(members - target))
             if family == "spectral":
                 traces.extend(float(np.trace(X).real) for X in members)
     trace_target = float(np.trace(target[0]).real)

@@ -9,6 +9,10 @@ class NonHermitianInput(SpdMeansError):
     """Input matrix is not Hermitian within tolerance."""
 
 
+class NonFiniteInput(NonHermitianInput):
+    """An input matrix or spectrum has an inf or NaN entry."""
+
+
 class NonPositiveSpectrum(SpdMeansError):
     """Matrix has an eigenvalue at or below the relative positivity floor."""
 

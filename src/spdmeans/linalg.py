@@ -9,18 +9,22 @@ by matrix; a single matrix is a batch of one, and stacked results are
 bitwise equal to matrix-by-matrix calls.  All functions are pure.  Matrix
 function results are re-Hermitized as (X + X*)/2 so that downstream
 invariant checks are not tripped by accumulation drift.  Exported
-functions validate their input; the helpers on validated stacks or
-eigensystems keep only the positive-definite floor.
+functions validate their input by the ``require_*`` rules and refuse an
+overflowing result; the underscore kernels behind them, which the battery
+calls on its own intermediates, keep only the positive-definite floor.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from itertools import combinations
 from typing import Iterator
 
 import numpy as np
 
-from .errors import BadOrder, DimensionMismatch, EigFailure, NonHermitianInput, NonPositiveSpectrum
+from .errors import (BadOrder, DimensionMismatch, EigFailure, NonFiniteInput, NonHermitianInput,
+                     NonPositiveSpectrum, NumericBreakdown)
 
 # Tolerances (absolute-plus-relative where a norm scale exists).
 ETA_HERM = 1e-10     # Hermitian symmetry defect
@@ -34,10 +38,14 @@ def ct(X: np.ndarray) -> np.ndarray:
     return X.conj().swapaxes(-1, -2)
 
 
-def hermitize(X: np.ndarray) -> np.ndarray:
-    """Return (X + X*)/2 (the sum divided in place unless it is integral)."""
+def _hermitize(X: np.ndarray) -> np.ndarray:
     S = X + ct(X)
     return np.divide(S, 2, out=S) if S.dtype.kind in "fc" else S / 2
+
+
+def hermitize(X) -> np.ndarray:
+    """Return (X + X*)/2 of a square matrix or stack with finite entries."""
+    return _hermitize(require_matrix(X, finite=True))
 
 
 def max_abs(X: np.ndarray) -> np.ndarray:
@@ -70,20 +78,49 @@ def _matrix_defect(X: np.ndarray, square: bool = True) -> str:
     return "" if X.dtype.kind in "iufc" else f"must be numeric, got dtype {X.dtype}"
 
 
-def require_matrix(X, name: str = "matrix", square: bool = True) -> np.ndarray:
-    X = np.asarray(X)
-    if defect := _matrix_defect(X, square):
-        raise NonHermitianInput(f"{name} {defect}")
+def require_finite(X: np.ndarray, name: str, error=NonFiniteInput) -> np.ndarray:
+    """X unless an entry is inf or NaN, which raises ``error`` naming it."""
+    if not np.isfinite(X).all():
+        raise error(f"{name} entries must be finite")
     return X
 
 
-def require_same_shape(*Xs) -> list[np.ndarray]:
-    """The operands as ndarrays; DimensionMismatch unless all have one shape."""
+def require_matrix(X, name: str = "matrix", square: bool = True, finite: bool = False) -> np.ndarray:
+    X = np.asarray(X)
+    if defect := _matrix_defect(X, square):
+        raise NonHermitianInput(f"{name} {defect}")
+    return require_finite(X, name) if finite else X
+
+
+def require_same_shape(*Xs, single: str = "") -> list[np.ndarray]:
+    """The operands as ndarrays; DimensionMismatch unless all have one shape,
+    and, where ``single`` names them, unless that shape is a single matrix's."""
     Xs = [np.asarray(X) for X in Xs]
     for X in Xs[1:]:
         if X.shape != Xs[0].shape:
             raise DimensionMismatch(f"operand shapes differ: {Xs[0].shape} vs {X.shape}")
+    if single and Xs[0].ndim > 2:
+        raise DimensionMismatch(f"{single} must be single matrices, got shape {Xs[0].shape}")
     return Xs
+
+
+def require_integer(v, name: str, lo: int = 0, hi: float = math.inf, error=ValueError) -> int:
+    """v as an int: an integer (numpy's too), not a ``bool``, in [lo, hi]."""
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool) and lo <= v <= hi:
+        return int(v)
+    where = f"lie in [{lo}, {hi}]" if hi < math.inf else f"be an integer >= {lo}"
+    raise error(f"{name} must {where}, got {v!r}")
+
+
+def require_real(v, name: str, lo: float = -math.inf, hi: float = math.inf,
+                 positive: bool = False) -> float:
+    """v as a float: a finite real (numpy's too, not a ``bool``) in [lo, hi], > 0 if ``positive``."""
+    if ((type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool))
+            and abs(v) < math.inf and lo <= v <= hi and (v > 0 or not positive)):
+        return float(v)
+    interval = f"{'(' if lo == -math.inf else '['}{lo:g}, {hi:g}{')' if hi == math.inf else ']'}"
+    where = "be finite and positive" if positive else f"lie in {interval}"
+    raise ValueError(f"{name} must {where}, got {v!r}")
 
 
 def _hermitian_mask(X: np.ndarray, tol: float) -> np.ndarray:
@@ -95,7 +132,7 @@ def _hermitian_mask(X: np.ndarray, tol: float) -> np.ndarray:
 
 def is_hermitian(X, tol: float = ETA_HERM):
     """Finite entries and symmetry, per matrix: a bool for one matrix, a bool array for a stack."""
-    X = np.asarray(X)
+    X, tol = np.asarray(X), require_real(tol, "tol", 0.0)
     return False if _matrix_defect(X) else unbatch(_hermitian_mask(X, tol))
 
 
@@ -103,14 +140,13 @@ def require_hermitian(X, tol: float = ETA_HERM) -> np.ndarray:
     """Validate the Hermitian invariant (``is_hermitian``) and return X as an ndarray."""
     X = require_matrix(X)
     if any_true(~_hermitian_mask(X, tol)):
-        if not np.all(max_abs(X) < np.inf):
-            raise NonHermitianInput("matrix entries must be finite")
+        require_finite(X, "matrix")
         raise NonHermitianInput(f"symmetry defect {max_abs(X - ct(X)).max():.3e} exceeds tolerance")
     return X
 
 
 def is_unitary(U: np.ndarray, tol: float = ETA_UNIT):
-    U = np.asarray(U)
+    U, tol = np.asarray(U), require_real(tol, "tol", 0.0)
     if _matrix_defect(U):
         return False
     gram = U @ ct(U)
@@ -134,21 +170,24 @@ def row_power(w: np.ndarray, e) -> np.ndarray:
 
 def _eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
-        w, U = np.linalg.eigh(hermitize(H))
+        w, U = np.linalg.eigh(_hermitize(H))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigFailure(str(exc)) from exc
     return w[..., ::-1].copy(), U[..., ::-1].copy()
 
 
+def _below_floor(w: np.ndarray):
+    """Per spectrum (descending), whether it is at or below the positive-definite floor."""
+    return ((top := w.T[0]) <= 0.0) | (w.T[-1] <= EPS_PD * top)
+
+
 def _pd_eigh(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, U = _eigh(P)
-    top, low = w.T[0], w.T[-1]           # per matrix; scalars for one matrix
-    bad = (top <= 0.0) | (low <= EPS_PD * top)
-    if any_true(bad):
+    if any_true(bad := _below_floor(w)):
         i = np.argmax(bad)
         raise NonPositiveSpectrum(
-            f"eigenvalue {np.ravel(low)[i]:.3e} at or below relative floor "
-            f"{EPS_PD:.0e} * {np.ravel(top)[i]:.3e}"
+            f"eigenvalue {np.ravel(w.T[-1])[i]:.3e} at or below relative floor "
+            f"{EPS_PD:.0e} * {np.ravel(w.T[0])[i]:.3e}"
         )
     return w, U
 
@@ -176,7 +215,7 @@ def pd_eig(P) -> tuple[np.ndarray, np.ndarray]:
 
 def from_eig(U: np.ndarray, f: np.ndarray) -> np.ndarray:
     """U diag(f) U*, re-Hermitized, for each matrix of a stack."""
-    return hermitize((U * f[..., None, :]) @ ct(U))
+    return _hermitize((U * f[..., None, :]) @ ct(U))
 
 
 def power_from_eig(w: np.ndarray, U: np.ndarray, r) -> np.ndarray:
@@ -193,13 +232,19 @@ def _power(P: np.ndarray, r) -> np.ndarray:
     return power_from_eig(*_pd_eigh(P), r)
 
 
+def _overflow_checked(name: str, kernel, *args) -> np.ndarray:
+    """``kernel(*args)`` of a public function, NumericBreakdown naming it if that overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return require_finite(kernel(*args), f"{name} result", NumericBreakdown)
+
+
 def mat_power(P, r: float) -> np.ndarray:
     """Fractional power of a positive definite matrix via eigendecomposition.
 
     ``mat_power(P, 0)`` is the exact identity of a valid P; eigenvalues at or
     below the relative floor raise NonPositiveSpectrum rather than being clamped.
     """
-    return _power(require_hermitian(P), r)
+    return _overflow_checked("mat_power", _power, require_hermitian(P), require_real(r, "exponent r"))
 
 
 class _lazy:
@@ -230,7 +275,7 @@ class Spd:
 
     @_lazy
     def inv_root(self) -> np.ndarray:
-        return hermitize((self.U / np.sqrt(self.w)[..., None, :]) @ ct(self.U))
+        return _hermitize((self.U / np.sqrt(self.w)[..., None, :]) @ ct(self.U))
 
 
 def spd(P: np.ndarray) -> Spd:
@@ -251,7 +296,7 @@ def _exp(H: np.ndarray) -> np.ndarray:
 
 def mat_exp(H) -> np.ndarray:
     """Matrix exponential of a Hermitian matrix (eigendecomposition route)."""
-    return _exp(require_hermitian(H))
+    return _overflow_checked("mat_exp", _exp, require_hermitian(H))
 
 
 def mat_log(P) -> np.ndarray:
@@ -260,19 +305,24 @@ def mat_log(P) -> np.ndarray:
     return from_eig(U, np.log(w))
 
 
-def spectrum_of_factor(F: np.ndarray) -> np.ndarray:
+def _spectrum_of_factor(F: np.ndarray) -> np.ndarray:
+    s = np.linalg.svd(F, compute_uv=False)
+    return s * s
+
+
+def spectrum_of_factor(F) -> np.ndarray:
     """Eigenvalues (descending) of F F* computed as squared singular values.
 
     Keeping positive definite intermediates in factored form halves the
     effective condition number seen by the decomposition, which is what
     makes tight log-majorization margins attainable in double precision.
     """
-    s = np.linalg.svd(require_matrix(F, "factor", square=False), compute_uv=False)
-    return s * s
+    F = require_matrix(F, "factor", square=False, finite=True)
+    return _overflow_checked("spectrum_of_factor", _spectrum_of_factor, F)
 
 
 def _compound(M: np.ndarray, k: int) -> np.ndarray:
-    subs = np.array(list(combinations(range(M.shape[-1]), int(k))))
+    subs = np.array(list(combinations(range(M.shape[-1]), k)))
     return np.linalg.det(M[..., subs[:, None, :, None], subs[None, :, None, :]])
 
 
@@ -283,11 +333,9 @@ def compound(M, k: int) -> np.ndarray:
     lexicographic order, so ``compound(M, 1) == M`` and
     ``compound(M, n) == [[det M]]``.
     """
-    M = require_matrix(M, "M")
-    n = M.shape[-1]
-    if not isinstance(k, (int, np.integer)) or k < 1 or k > n:
-        raise BadOrder(f"compound order k={k} outside 1..{n}")
-    return _compound(M, k)
+    M = require_matrix(M, "M", finite=True)
+    return _overflow_checked("compound", _compound, M,
+                             require_integer(k, "compound order k", 1, M.shape[-1], BadOrder))
 
 
 # numpy's SeedSequence hash and PCG64 seeding, whose output NEP 19 keeps
@@ -296,13 +344,6 @@ _M32, _M128 = 0xFFFFFFFF, (1 << 128) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def require_seed(seed) -> int:
-    """Validate a seed: a nonnegative ``int`` (a ``bool`` is not a seed)."""
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    return seed
 
 
 def seed_words(seed: int) -> list[int]:
@@ -411,14 +452,14 @@ def sample_pd(n: int, seed: int, spread: float) -> np.ndarray:
     (n, seed, spread), with ``seed`` a nonnegative int of any size; spread 1
     forces a unit spectrum, i.e. the identity.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if not 1.0 <= spread < np.inf:
-        raise ValueError(f"spread must be finite and >= 1, got {spread}")
-    return pd_compose(*pd_draws(n, rng_keys(require_seed(seed)), [spread]))[0]
+    n, spread = require_integer(n, "n", 1), require_real(spread, "spread", 1.0)
+    return pd_compose(*pd_draws(n, rng_keys(require_integer(seed, "seed")), [spread]))[0]
+
+
+def _spectral_norm(X: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(X, compute_uv=False)[..., 0]
 
 
 def spectral_norm(X):
     """Largest singular value (per matrix of a stack; square or not)."""
-    X = require_matrix(X, "factor", square=False)
-    return unbatch(np.linalg.svd(X, compute_uv=False)[..., 0])
+    return unbatch(_spectral_norm(require_matrix(X, "factor", square=False, finite=True)))

@@ -23,8 +23,8 @@ from .errors import (
     NonrealSpectrum,
     NumericBreakdown,
 )
-from .linalg import (_compound, _eigh, is_hermitian, pymax, require_same_shape, require_matrix,
-                     unbatch)
+from .linalg import (ETA_HERM, _compound, _eigh, _hermitian_mask, pymax, require_finite,
+                     require_integer, require_matrix, require_real, require_same_shape, unbatch)
 
 TAU_MAJ = 1e-9         # default slack: absolute on sums, log-space absolute
 LOG_FLOOR = 1e-300     # entries below this are rejected before taking logs
@@ -52,23 +52,24 @@ class MajorizationReport:
         return float(np.min(self.margins))
 
 
-def _check_lengths(y, x) -> tuple[np.ndarray, np.ndarray]:
-    """y and x as descending float vectors (a scalar is one entry), nonempty, of one length."""
+def _check_lengths(y, x, tol) -> tuple[np.ndarray, np.ndarray, float]:
+    """y, x as descending finite float vectors (a scalar is one entry), nonempty, of one length."""
     y, x = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (y, x))
     for name, v in (("y", y), ("x", x)):
         if v.ndim != 1:
             raise DimensionMismatch(f"{name} must be a vector, got shape {v.shape}")
         if v.size == 0:
             raise LengthMismatch(f"{name} is empty")
+        require_finite(v, name)
     if y.shape != x.shape:
         raise LengthMismatch(f"length mismatch: {y.size} vs {x.size}")
-    return -np.sort(-y, kind="stable"), -np.sort(-x, kind="stable")
+    return -np.sort(-y, kind="stable"), -np.sort(-x, kind="stable"), require_real(tol, "tol", 0.0)
 
 
 def _sum_margins(y, x, tol: float) -> tuple[np.ndarray, float, float]:
     """Prefix-sum margins, the slack scaled by max(1, l1-norm of the
     inputs), and the total defect."""
-    y, x = _check_lengths(y, x)
+    y, x, tol = _check_lengths(y, x, tol)
     margins = np.cumsum(y) - np.cumsum(x)
     scale = max(1.0, float(np.abs(y).sum()), float(np.abs(x).sum()))
     return margins, tol * scale, float(margins[-1])
@@ -101,7 +102,7 @@ def log_majorizes(y, x, tol: float = TAU_MAJ) -> MajorizationReport:
     Entries must be positive (and above 1e-300, for log-space safety);
     ``tol`` is absolute in log space, i.e. relative on prefix products.
     """
-    y, x = _check_lengths(y, x)
+    y, x, tol = _check_lengths(y, x, tol)
     for name, v in (("y", y), ("x", x)):
         if np.any(v < LOG_FLOOR):
             raise NegativeEntry(f"{name} has entries below {LOG_FLOOR:g}")
@@ -109,19 +110,10 @@ def log_majorizes(y, x, tol: float = TAU_MAJ) -> MajorizationReport:
     return MajorizationReport("log_majorize", margins, float(margins[-1]), bool(verdict))
 
 
-def nonneg_spectrum(X) -> np.ndarray:
-    """Descending real eigenvalues of X (of each matrix of a stack).
-
-    Hermitian inputs go through the symmetric solver.  Non-Hermitian inputs
-    are accepted when they are diagonalizable with (near-)real spectrum,
-    e.g. products of positive semidefinite factors; imaginary parts beyond
-    tolerance raise NonrealSpectrum.  In a stack the choice is made per
-    matrix.
-    """
-    X = require_matrix(X, "X")
+def _nonneg_spectrum(X: np.ndarray) -> np.ndarray:
     n = X.shape[-1]
     flat = X.reshape(-1, n, n)
-    herm = is_hermitian(flat)
+    herm = _hermitian_mask(flat, ETA_HERM)
     out = np.empty(flat.shape[:-1])
     if np.any(herm):
         out[herm] = _eigh(flat[herm])[0]
@@ -137,25 +129,33 @@ def nonneg_spectrum(X) -> np.ndarray:
     return out.reshape(X.shape[:-1])
 
 
+def nonneg_spectrum(X) -> np.ndarray:
+    """Descending real eigenvalues of X (of each matrix of a stack).
+
+    Hermitian inputs go through the symmetric solver.  Non-Hermitian inputs
+    are accepted when they are diagonalizable with (near-)real spectrum,
+    e.g. products of positive semidefinite factors; imaginary parts beyond
+    tolerance raise NonrealSpectrum.  In a stack the choice is made per
+    matrix.
+    """
+    return _nonneg_spectrum(require_matrix(X, "X", finite=True))
+
+
 def eig_log_majorizes(X, Y, tol: float = TAU_MAJ) -> MajorizationReport:
     """Log majorization of one pair of matrices via their eigenvalue vectors.
 
     For a product A B of positive definite factors, pass the Hermitian
     similarity A^{1/2} B A^{1/2} instead of the product itself.
     """
-    if np.ndim(X) > 2 or np.ndim(Y) > 2:
-        raise DimensionMismatch(f"X and Y must be single matrices, got {np.shape(X)}, {np.shape(Y)}")
+    X, Y = require_same_shape(X, Y, single="X and Y")
     return log_majorizes(nonneg_spectrum(Y), nonneg_spectrum(X), tol)
 
 
 def ky_fan_norm(X, k: int):
     """Sum of the k largest singular values; k=1 is the spectral norm."""
-    X = require_matrix(X, "X")
-    n = X.shape[-1]
-    if not isinstance(k, (int, np.integer)) or k < 1 or k > n:
-        raise BadOrder(f"Ky Fan order k={k} outside 1..{n}")
-    s = np.linalg.svd(X, compute_uv=False)
-    return unbatch(np.sum(s[..., : int(k)], axis=-1))
+    X = require_matrix(X, "X", finite=True)
+    k = require_integer(k, "Ky Fan order k", 1, X.shape[-1], BadOrder)
+    return unbatch(np.sum(np.linalg.svd(X, compute_uv=False)[..., :k], axis=-1))
 
 
 def _compound_spectra(X: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
@@ -200,7 +200,9 @@ def compound_cross_check(X, Y, tol: float = TAU_MAJ):
     Restricted to n <= 5 because the compounds grow combinatorially.  On
     stacks the verdict is per pair of matrices.
     """
-    X, Y = require_same_shape(require_matrix(X, "X"), require_matrix(Y, "Y"))
+    X, Y = require_same_shape(require_matrix(X, "X", finite=True),
+                              require_matrix(Y, "Y", finite=True))
     if X.shape[-1] > 5:
         raise BadOrder(f"compound cross check limited to n <= 5, got {X.shape[-1]}")
+    tol = require_real(tol, "tol", 0.0)
     return unbatch(_compound_order(_compound_spectra(X), _compound_spectra(Y), tol))

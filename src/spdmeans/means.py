@@ -28,34 +28,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericBreakdown
-from .linalg import (Spd, ct, from_eig, hermitize, require_hermitian, require_same_shape,
-                     row_power, spd)
+from .linalg import (Spd, _hermitize, ct, from_eig, require_hermitian, require_real,
+                     require_same_shape, row_power, spd)
 
 _SINGULAR_FLOOR = 1e4 * np.finfo(float).eps
 
 
-def _operands(A, B) -> tuple[Spd, Spd]:
+def _operands(A, B, t) -> tuple[Spd, Spd, float]:
+    """The public means' inputs: A, then B, decomposed, then the weight."""
     A, B = require_same_shape(A, B)
-    return spd(require_hermitian(A)), spd(require_hermitian(B))
-
-
-def _check_weight(v: float, name: str = "weight t") -> float:
-    v = float(v)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {v}")
-    return v
-
-
-def _check_positive(v: float, name: str) -> float:
-    v = float(v)
-    if not 0.0 < v < np.inf:
-        raise ValueError(f"{name} must be finite and positive, got {v}")
-    return v
+    return spd(require_hermitian(A)), spd(require_hermitian(B)), require_real(t, "weight t", 0.0, 1.0)
 
 
 def gram(F: np.ndarray) -> np.ndarray:
     """The positive definite matrix F F* carried by a Gram factor."""
-    return hermitize(F @ ct(F))
+    return _hermitize(F @ ct(F))
 
 
 def _metric_factor(a: Spd, b: Spd, t) -> np.ndarray:
@@ -66,7 +53,7 @@ def _metric_factor(a: Spd, b: Spd, t) -> np.ndarray:
 
 def metric_mean_factor(A, B, t: float) -> np.ndarray:
     """Gram factor F with metric_mean(A, B, t) = F F*."""
-    return _metric_factor(*_operands(A, B), _check_weight(t))
+    return _metric_factor(*_operands(A, B, t))
 
 
 def metric_mean(A, B, t: float) -> np.ndarray:
@@ -104,13 +91,14 @@ def g_factor(A, B, t: float) -> np.ndarray:
 
     Satisfies spectral_mean(A, B, t) = G_t A G_t.
     """
-    w, U = _inv_sharp(*_operands(A, B))
-    return from_eig(U, row_power(w, _check_weight(t)))
+    a, b, t = _operands(A, B, t)
+    w, U = _inv_sharp(a, b)
+    return from_eig(U, row_power(w, t))
 
 
 def spectral_mean_factor(A, B, t: float) -> np.ndarray:
     """Gram factor F with spectral_mean(A, B, t) = F F*."""
-    return _nat_factor(*_operands(A, B), _check_weight(t))
+    return _nat_factor(*_operands(A, B, t))
 
 
 def spectral_mean(A, B, t: float) -> np.ndarray:
@@ -167,4 +155,4 @@ def similarity_witness(A, B, t: float) -> SimilarityWitness:
     U equals the adjoint of the unitary polar factor of R and is computed
     that way (via the SVD of R) for stability.
     """
-    return _similarity_witness(*_operands(A, B), _check_weight(t))
+    return _similarity_witness(*_operands(A, B, t))

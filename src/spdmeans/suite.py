@@ -24,7 +24,6 @@ equality sub-checks contribute ``-relative deviation``.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import pickle
 from dataclasses import dataclass, field, fields
@@ -33,37 +32,38 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericBreakdown, PreconditionNotMet, SOutOfRange
+from .errors import NumericBreakdown, PreconditionNotMet, SOutOfRange
 from .linalg import (
+    Spd,
+    _below_floor,
     _eigh,
     _exp,
+    _hermitize,
     _pd_eigh,
     _power,
+    _spectral_norm,
+    _spectrum_of_factor,
     any_true,
     ct,
     from_eig,
     generators,
-    hermitize,
     max_abs,
     pd_compose,
     pd_draws,
     power_from_eig,
     pymax,
     require_hermitian,
+    require_integer,
+    require_real,
     require_same_shape,
-    require_seed,
     rng_keys,
     row_power,
     seed_hash,
     seed_words,
     spd,
-    spectral_norm,
-    spectrum_of_factor,
 )
-from .majorization import _compound_order, _compound_spectra, _log_margins, nonneg_spectrum
+from .majorization import _compound_order, _compound_spectra, _log_margins, _nonneg_spectrum
 from .means import (
-    _check_positive,
-    _check_weight,
     _inv_sharp,
     _metric_factor,
     _nat_factor,
@@ -144,26 +144,6 @@ class OracleTally:
     mismatches: int = 0
 
 
-def _integer(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) < math.inf
-
-
-# What a SuiteConfig field of each annotated type admits, and its name.
-_FIELD_TYPES = {
-    "int": (_integer, "an integer"),
-    "float": (_real, "a finite real number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "tuple[int, int]": (lambda v: isinstance(v, (tuple, list)) and len(v) == 2
-                        and all(map(_integer, v)), "a pair of integers"),
-    "tuple[float, ...]": (lambda v: isinstance(v, (tuple, list)) and all(map(_real, v)),
-                          "a list of finite real numbers"),
-}
-
-
 @dataclass
 class SuiteConfig:
     """Deterministic configuration for :func:`run_suite`."""
@@ -185,32 +165,33 @@ class SuiteConfig:
     force_out_of_range: bool = False
 
     def validate(self) -> None:
-        for f in fields(self):
-            admits, kind = _FIELD_TYPES[f.type]
-            if not admits(v := getattr(self, f.name)):
-                raise ValueError(f"config field {f.name} must be {kind}, got {v!r}")
-        require_seed(self.seed)
-        if min(self.trials, self.limit_trials) < 0:
-            raise ValueError("trial counts must be nonnegative")
+        """Every field's type and range by the package's rules; a ValueError names a bad field."""
+        for key in ("seed", "trials", "limit_trials"):
+            require_integer(getattr(self, key), f"config field {key}")
         dyadic_grid(self.p_min_exp)  # raises outside the range it owns
-        if not 1 <= self.dims[0] <= self.dims[1]:
-            raise ValueError(f"bad dimension range {self.dims}")
-        if not self.t_grid or any(not 0.0 <= t <= 1.0 for t in self.t_grid):
-            raise ValueError("t grid must be nonempty and lie in [0, 1]")
-        if not self.r_grid:
-            raise ValueError("r grid must be nonempty")
+        require_real(self.spread, "config field spread", 1.0)
+        for key in ("tol", "psd_tol", "limit_err_threshold", "limit_floor"):
+            require_real(getattr(self, key), f"config field {key} (a threshold)", positive=True)
+        for key in ("s_at_bound", "force_out_of_range"):
+            if not isinstance(v := getattr(self, key), bool):
+                raise ValueError(f"config field {key} must be true or false, got {v!r}")
+        if not isinstance(self.dims, (tuple, list)) or len(self.dims) != 2:
+            raise ValueError(f"config field dims must be a pair of integers, got {self.dims!r}")
+        require_integer(self.dims[1], "config field dims[1]",
+                        require_integer(self.dims[0], "config field dims[0]", 1))
+        for key in ("t_grid", "r_grid", "s_grid"):
+            if not isinstance(v := getattr(self, key), (tuple, list)) or not v and key != "s_grid":
+                raise ValueError(f"config field {key} must be a list (nonempty unless s_grid), got {v!r}")
+        for t in self.t_grid:
+            require_real(t, "config field t_grid value", 0.0, 1.0)
         for v in (*self.r_grid, *self.s_grid):
-            _check_positive(v, "an r or s grid value")
+            require_real(v, "config field r_grid or s_grid value", positive=True)
         if not self.force_out_of_range and any(s > 2.0 for s in self.s_grid):
             raise ValueError("s grid exceeds 2, the largest provable bound 1/max(t, 1-t); "
                              "set force_out_of_range to run anyway")
         if bare := [t for t in self.t_grid if not _s_choices(self, t)]:
             raise ValueError(f"s_grid has no exponent up to the provable bound 1/max(t, 1-t) "
                              f"for t={bare[0]:g}; set s_at_bound or force_out_of_range")
-        if self.spread < 1.0:
-            raise ValueError("spread must be >= 1")
-        for key in ("tol", "psd_tol", "limit_err_threshold", "limit_floor"):
-            _check_positive(getattr(self, key), f"threshold {key}")
 
     def to_dict(self) -> dict:
         values = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -228,9 +209,7 @@ class SuiteConfig:
 
 def dyadic_grid(p_min_exp: int) -> tuple[float, ...]:
     """Decreasing grid 2^0, ..., 2^-p_min_exp, p_min_exp in [0, 1074] (2^-1075 is 0.0)."""
-    if not 0 <= p_min_exp <= 1074:
-        raise ValueError(f"p_min_exp must lie in [0, 1074], got {p_min_exp}")
-    return tuple(2.0**-k for k in range(p_min_exp + 1))
+    return tuple(2.0**-k for k in range(require_integer(p_min_exp, "p_min_exp", 0, 1074) + 1))
 
 
 # --------------------------------------------------------------------------
@@ -284,8 +263,8 @@ def _equality(X, Y) -> np.ndarray:
 def _psd_margin(X, Y) -> np.ndarray:
     """How far X >= Y holds in the Loewner order, per matrix:
     lambda_min(X - Y) / lambda_1(X)."""
-    top = np.linalg.eigvalsh(hermitize(X))[..., -1]
-    return np.linalg.eigvalsh(hermitize(X - Y))[..., 0] / pymax(top, 1e-30)
+    top = np.linalg.eigvalsh(_hermitize(X))[..., -1]
+    return np.linalg.eigvalsh(_hermitize(X - Y))[..., 0] / pymax(top, 1e-30)
 
 
 def _first_min(values, default=None):
@@ -312,15 +291,23 @@ def _outcomes(check_id: str, tol: float, cols: dict) -> list[CheckOutcome]:
 
 def _one(*matrices) -> list[np.ndarray]:
     """Validated n x n matrices of a public check, of one shape, as stacks of one."""
-    matrices = require_same_shape(*matrices)
-    if matrices[0].ndim != 2:
-        raise DimensionMismatch(f"a check takes n x n matrices, got shape {matrices[0].shape}")
-    return [require_hermitian(M)[None] for M in matrices]
+    return [require_hermitian(M)[None]
+            for M in require_same_shape(*matrices, single="a check's matrices")]
 
 
 def _col(*values) -> list[np.ndarray]:
     """Parameters of a public check, as one-row columns."""
     return [np.array([float(v)]) for v in values]
+
+
+def _weight(v, name: str = "weight t") -> float:
+    """A public check's weight or exponent that must lie in [0, 1]."""
+    return require_real(v, name, 0.0, 1.0)
+
+
+def _positive(**values) -> list[float]:
+    """A public check's positive exponents, scales, tolerances and thresholds, in order."""
+    return [require_real(v, name, positive=True) for name, v in values.items()]
 
 
 # --------------------------------------------------------------------------
@@ -337,8 +324,8 @@ def _power_order(mean, A, B, t, r, tol, tally):
     a, b = spd(A), spd(B)
     F_base = factor(a, b, t)
     F_pow = factor(spd(power_from_eig(a.w, a.U, r)), spd(power_from_eig(b.w, b.U, r)), t)
-    log_base = np.log(spectrum_of_factor(F_base))
-    log_pow = np.log(spectrum_of_factor(F_pow))
+    log_base = np.log(_spectrum_of_factor(F_base))
+    log_pow = np.log(_spectrum_of_factor(F_pow))
 
     cols = {"t": t, "r": r}
     low = ((r >= 1.0) != reverse)[:, None]     # the power mean is dominated
@@ -365,24 +352,22 @@ def _power_order(mean, A, B, t, r, tol, tally):
     return _outcomes(f"{mean}_power_order", tol, cols)
 
 
-def check_geometric_power(
-    A, B, t: float, r: float, tol: float = 1e-8, tally: OracleTally | None = None
-) -> CheckOutcome:
+def check_geometric_power(A, B, t: float, r: float, tol: float = 1e-8,
+                          tally: OracleTally | None = None) -> CheckOutcome:
     """Power inequality for the metric mean: the r-th power of the mean
     dominates the mean of the r-th powers for r >= 1 (reversed for
     r <= 1), plus the induced monotonicity in the exponent."""
-    r, tol = _check_positive(r, "r"), _check_positive(tol, "tol")
-    return _power_order("geometric", *_one(A, B), *_col(_check_weight(t), r), tol, tally)[0]
+    t, r, tol = _weight(t), *_positive(r=r, tol=tol)
+    return _power_order("geometric", *_one(A, B), *_col(t, r), tol, tally)[0]
 
 
-def check_spectral_power(
-    A, B, t: float, r: float, tol: float = 1e-8, tally: OracleTally | None = None
-) -> CheckOutcome:
+def check_spectral_power(A, B, t: float, r: float, tol: float = 1e-8,
+                         tally: OracleTally | None = None) -> CheckOutcome:
     """Power inequality for the spectral mean; the ordering is reversed
     relative to the metric mean: the mean of the r-th powers dominates
     for r >= 1, and the larger exponent dominates in the monotone family."""
-    r, tol = _check_positive(r, "r"), _check_positive(tol, "tol")
-    return _power_order("spectral", *_one(A, B), *_col(_check_weight(t), r), tol, tally)[0]
+    t, r, tol = _weight(t), *_positive(r=r, tol=tol)
+    return _power_order("spectral", *_one(A, B), *_col(t, r), tol, tally)[0]
 
 
 def s_provable_bound(t: float) -> float:
@@ -408,8 +393,8 @@ def _natlog_factors(a, b, t, s) -> tuple[np.ndarray, np.ndarray]:
 def _natlog(A, B, t, s, tol, tally, factors=None):
     F_mid, F_nat = _natlog_factors(spd(A), spd(B), t, s) if factors is None else factors
     cols = {"t": t, "s": s}
-    ok = _logmaj(cols, "sandwich_vs_mean", np.log(spectrum_of_factor(F_mid)) / s[:, None],
-                 np.log(spectrum_of_factor(F_nat)), tol)
+    ok = _logmaj(cols, "sandwich_vs_mean", np.log(_spectrum_of_factor(F_mid)) / s[:, None],
+                 np.log(_spectrum_of_factor(F_nat)), tol)
     _oracle(tally, A, tol, lambda: [(ok, _power(gram(F_mid), 1.0 / s), gram(F_nat))])
     outs = _outcomes("natlog_order", tol, cols)
     for out, u, v in zip(outs, t.tolist(), s.tolist()):
@@ -429,7 +414,7 @@ def check_natlog(A, B, t: float, s: float, tol: float = 1e-8, force: bool = Fals
     row has ``detail["out_of_range"] == 1.0`` and is informational, as
     in the battery.
     """
-    t, s, tol = _check_weight(t), _check_positive(s, "s"), _check_positive(tol, "tol")
+    t, s, tol = _weight(t), *_positive(s=s, tol=tol)
     if _beyond_bound(t, s) and not force:
         raise SOutOfRange(f"s={s} exceeds the provable bound {s_provable_bound(t):.6g} for t={t}")
     return _natlog(*_one(A, B), *_col(t, s), tol, tally)[0]
@@ -442,7 +427,7 @@ def _chain(A, B, t, tol, tally):
     log_le, U_le = _eigh(H)              # log lambda(e^H) = lambda(H)
     F_mid, F_nat = _natlog_factors(a, b, t, np.ones_like(t))   # the natlog pair at s = 1
     F = {"metric": _metric_factor(a, b, t), "sandwich": F_mid, "spectral": F_nat}
-    logs = {k: np.log(spectrum_of_factor(f)) for k, f in F.items()}
+    logs = {k: np.log(_spectrum_of_factor(f)) for k, f in F.items()}
     logs["logeuclid"] = log_le
 
     cols, order = {"t": t}, []
@@ -458,15 +443,14 @@ def _chain(A, B, t, tol, tally):
     return _outcomes("chain_order", tol, cols)
 
 
-def check_chain(
-    A, B, t: float, tol: float = 1e-8, tally: OracleTally | None = None
-) -> CheckOutcome:
+def check_chain(A, B, t: float, tol: float = 1e-8,
+                tally: OracleTally | None = None) -> CheckOutcome:
     """Four-link log-majorization chain between the two means:
 
     metric mean  <  exp((1-t) log A + t log B)  <  B^{t/2} A^{1-t} B^{t/2}
     < spectral mean, with the outer (metric < spectral) link also checked
     directly."""
-    return _chain(*_one(A, B), *_col(_check_weight(t)), _check_positive(tol, "tol"), tally)[0]
+    return _chain(*_one(A, B), *_col(_weight(t)), *_positive(tol=tol), tally)[0]
 
 
 # --------------------------------------------------------------------------
@@ -474,7 +458,7 @@ def check_chain(
 # --------------------------------------------------------------------------
 
 def _validate_p_grid(p_grid) -> tuple[float, ...]:
-    p_grid = tuple(_check_positive(p, "p grid value") for p in p_grid)
+    p_grid = tuple(require_real(p, "p grid value", positive=True) for p in p_grid)
     if not p_grid or any(b >= a for a, b in zip(p_grid, p_grid[1:])):
         raise ValueError("p grid must be nonempty and strictly decreasing")
     return p_grid
@@ -497,7 +481,8 @@ def limit_factors(family: str, A, B, t, p_grid) -> Iterator[tuple[np.ndarray, np
     a dyadic grid this is bitwise the exponential of a fresh decomposition
     of pX.  Yields ``(p, F)`` per chunk of grid points whose factors hold
     at most ``_STACK_ENTRIES`` matrix entries (or one point), the rows
-    p-major and ``p`` the grid point of each row."""
+    p-major and ``p`` the grid point of each row.  NumericBreakdown names
+    the first p where exp(pA) or exp(pB) leaves the positive-definite floor."""
     tc = t[:, None, None]
     ops = (A, B) if family == "spectral" else ((1.0 - tc) * A / 2.0, tc * B / 2.0)
     eigs = [_eigh(X) for X in ops]
@@ -505,21 +490,30 @@ def limit_factors(family: str, A, B, t, p_grid) -> Iterator[tuple[np.ndarray, np
     size = max(1, _STACK_ENTRIES // (k * n * n))
     for i in range(0, len(p_grid), size):
         p = np.array(p_grid[i:i + size])
+        rows = np.repeat(p, k)
         ea, eb = (from_eig(U, np.exp(p[:, None, None] * w)).reshape(-1, n, n) for w, U in eigs)
-        F = _nat_factor(spd(ea), spd(eb), np.tile(t, len(p))) if family == "spectral" else eb @ ea
-        yield np.repeat(p, k), F
+        if family == "sandwich":
+            yield rows, eb @ ea
+            continue
+        (wa, Ua), (wb, Ub) = _eigh(ea), _eigh(eb)
+        _breakdown(_below_floor(wa) | _below_floor(wb), rows,
+                   "exp(pA) or exp(pB) leaves the positive-definite floor")
+        yield rows, _nat_factor(Spd(wa, Ua), Spd(wb, Ub), np.tile(t, len(p)))
+
+
+def _breakdown(bad, p, what: str, why: str = "the spectra of A and B are too wide for doubles"):
+    """NumericBreakdown naming the first grid point p (one per row) of a ``bad`` row."""
+    if any_true(bad):
+        q = float(p[np.argmax(bad)])
+        raise NumericBreakdown(f"{what} at p={q:.6g} (2^{math.log2(q):g}): {why}")
 
 
 def _root(w: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``w ** (1/p)`` for spectra with one grid point p per row; where it
-    overflows, NumericBreakdown names the first such p."""
+    """``w ** (1/p)`` with one grid point p per row, the first p where it overflows named."""
     with np.errstate(over="ignore"):
         x = row_power(w, 1.0 / p)
-    if any_true(bad := ~np.isfinite(x).all(axis=-1)):
-        q = float(p[np.argmax(bad)])
-        raise NumericBreakdown(f"the 1/p power of a limit family member overflows at p={q:.6g} "
-                               f"(2^{math.log2(q):g}): doubles do not resolve the limit this "
-                               "close to p = 0")
+    _breakdown(~np.isfinite(x).all(axis=-1), p, "the 1/p power of a limit family member "
+               "overflows", "doubles do not resolve the limit this close to p = 0")
     return x
 
 
@@ -528,7 +522,8 @@ def limit_members(family: str, A, B, t, p_grid) -> Iterator[tuple[np.ndarray, ..
     the family (exp(pA) nat_t exp(pB))^{1/p} or (exp(ptB/2) exp(p(1-t)A)
     exp(ptB/2))^{1/p}.  Yields ``(p, F, member)`` per chunk."""
     for p, F in limit_factors(family, A, B, t, p_grid):
-        w, U = _pd_eigh(gram(F))
+        w, U = _eigh(gram(F))
+        _breakdown(_below_floor(w), p, "a limit family member leaves the positive-definite floor")
         yield p, F, from_eig(U, _root(w, p))
 
 
@@ -538,7 +533,7 @@ def _trace(A, B, t, p_grid, tol):
     target = np.sum(np.exp(w_mix), axis=-1)
     traces = []
     for p, F in limit_factors("spectral", A, B, t, p_grid):
-        traces.extend(np.sum(_root(spectrum_of_factor(F), p), axis=-1).reshape(-1, len(t)))
+        traces.extend(np.sum(_root(_spectrum_of_factor(F), p), axis=-1).reshape(-1, len(t)))
     cols = {
         "t": t,
         "trace_lower_bound": _first_min([(tr - target) / target for tr in traces]),
@@ -550,13 +545,11 @@ def _trace(A, B, t, p_grid, tol):
     return _outcomes("trace_descent", tol, cols)
 
 
-def check_trace_corollary(
-    A, B, t: float, p_grid, tol: float = 1e-8
-) -> CheckOutcome:
+def check_trace_corollary(A, B, t: float, p_grid, tol: float = 1e-8) -> CheckOutcome:
     """tr exp((1-t)A + tB) is a lower bound for tr of the p-family of
     spectral means of exponentials, and the traces decrease with p."""
     p_grid = _validate_p_grid(p_grid)
-    return _trace(*_one(A, B), *_col(_check_weight(t)), p_grid, _check_positive(tol, "tol"))[0]
+    return _trace(*_one(A, B), *_col(_weight(t)), p_grid, *_positive(tol=tol))[0]
 
 
 def _limit(family, A, B, t, p_grid, tol, err_threshold, floor, tally):
@@ -572,8 +565,8 @@ def _limit(family, A, B, t, p_grid, tol, err_threshold, floor, tally):
     errs, specs, mats = [], [], []
     for p, F, member in limit_members(family, A, B, t, p_grid):
         member = member.reshape(-1, *target.shape)
-        errs.extend(spectral_norm(member - target))
-        specs.extend((np.log(spectrum_of_factor(F)) / p[:, None]).reshape(-1, len(t), n))
+        errs.extend(_spectral_norm(member - target))
+        specs.extend((np.log(_spectrum_of_factor(F)) / p[:, None]).reshape(-1, len(t), n))
         if _oracle_runs(tally, A):
             mats.extend(member)
     cols = {"t": t, "final_err": errs[-1],
@@ -600,7 +593,7 @@ def _limit(family, A, B, t, p_grid, tol, err_threshold, floor, tally):
     _oracle(tally, A, tol, lambda: [(ok, mats[i + 1], mats[i]) for i, ok in enumerate(oks)])
 
     if family == "sandwich":   # bounded above by exp(A) nat_t exp(B)
-        upper = np.log(spectrum_of_factor(next(limit_factors("spectral", A, B, t, (1.0,)))[1]))
+        upper = np.log(_spectrum_of_factor(next(limit_factors("spectral", A, B, t, (1.0,)))[1]))
         for i, spec in enumerate(specs):
             cols[f"upper_bound_{i}"] = _first_min([
                 (np.cumsum(upper, axis=-1) - np.cumsum(spec, axis=-1)).min(axis=-1),
@@ -613,9 +606,8 @@ def check_limit_spectral(A, B, t: float, p_grid, tol: float = 1e-8, err_threshol
                          floor: float = 1e-8, tally: OracleTally | None = None) -> CheckOutcome:
     """(exp(pA) nat_t exp(pB))^{1/p} converges down to exp((1-t)A + tB)
     as p -> 0, monotonically in the log-majorization order."""
-    opts = map(_check_positive, (tol, err_threshold, floor), ("tol", "err_threshold", "floor"))
-    return _limit("spectral", *_one(A, B), *_col(_check_weight(t)), _validate_p_grid(p_grid),
-                  *opts, tally)[0]
+    return _limit("spectral", *_one(A, B), *_col(_weight(t)), _validate_p_grid(p_grid),
+                  *_positive(tol=tol, err_threshold=err_threshold, floor=floor), tally)[0]
 
 
 def check_limit_sandwich(A, B, t: float, p_grid, tol: float = 1e-8, err_threshold: float = 1e-2,
@@ -623,9 +615,8 @@ def check_limit_sandwich(A, B, t: float, p_grid, tol: float = 1e-8, err_threshol
     """(exp(ptB/2) exp(p(1-t)A) exp(ptB/2))^{1/p} converges down to
     exp((1-t)A + tB); the family is log-majorization monotone and bounded
     above by the spectral mean of exp(A) and exp(B)."""
-    opts = map(_check_positive, (tol, err_threshold, floor), ("tol", "err_threshold", "floor"))
-    return _limit("sandwich", *_one(A, B), *_col(_check_weight(t)), _validate_p_grid(p_grid),
-                  *opts, tally)[0]
+    return _limit("sandwich", *_one(A, B), *_col(_weight(t)), _validate_p_grid(p_grid),
+                  *_positive(tol=tol, err_threshold=err_threshold, floor=floor), tally)[0]
 
 
 # --------------------------------------------------------------------------
@@ -646,13 +637,10 @@ def _loewner_monotone(A, B, C, D, t, psd_tol):
     return _outcomes("loewner_monotone_metric", psd_tol, cols)
 
 
-def check_loewner_monotone_geometric(
-    A, B, C, D, t: float, psd_tol: float = 1e-9
-) -> CheckOutcome:
+def check_loewner_monotone_geometric(A, B, C, D, t: float, psd_tol: float = 1e-9) -> CheckOutcome:
     """Joint Loewner monotonicity of the metric mean: A >= C and B >= D
     imply metric_mean(A, B, t) >= metric_mean(C, D, t)."""
-    (A, B, C, D), (t,) = _one(A, B, C, D), _col(_check_weight(t))
-    psd_tol = _check_positive(psd_tol, "psd_tol")
+    (A, B, C, D), (t,), (psd_tol,) = _one(A, B, C, D), _col(_weight(t)), _positive(psd_tol=psd_tol)
     _require_loewner(A, C, psd_tol, "A vs C")
     _require_loewner(B, D, psd_tol, "B vs D")
     return _loewner_monotone(A, B, C, D, t, psd_tol)[0]
@@ -665,8 +653,7 @@ def _heinz(A, B, r, psd_tol):
 
 def check_loewner_heinz(A, B, r: float, psd_tol: float = 1e-9) -> CheckOutcome:
     """A >= B >= 0 implies A^r >= B^r for r in [0, 1]."""
-    (A, B), (r,) = _one(A, B), _col(_check_weight(r, "r"))
-    psd_tol = _check_positive(psd_tol, "psd_tol")
+    (A, B), (r,), (psd_tol,) = _one(A, B), _col(_weight(r, "r")), _positive(psd_tol=psd_tol)
     _require_loewner(A, B, psd_tol, "A vs B")
     return _heinz(A, B, r, psd_tol)[0]
 
@@ -674,23 +661,22 @@ def check_loewner_heinz(A, B, r: float, psd_tol: float = 1e-9) -> CheckOutcome:
 def _lambda1(A, B, s, tol, tally):
     a, b = spd(A), spd(B)
     Fx = power_from_eig(a.w, a.U, s / 2.0) @ power_from_eig(b.w, b.U, s / 2.0)
-    log_x = np.log(spectrum_of_factor(Fx))
+    log_x = np.log(_spectrum_of_factor(Fx))
     Fy = a.root @ b.root
-    log_y = s[:, None] * np.log(spectrum_of_factor(Fy))
+    log_y = s[:, None] * np.log(_spectrum_of_factor(Fy))
     cols = {"s": s, "lambda1": log_y[:, 0] - log_x[:, 0]}
     ok = _logmaj(cols, "product_power", log_x, log_y, tol)
     _oracle(tally, A, tol, lambda: [(ok, gram(Fx), _power(gram(Fy), s))])
     return _outcomes("lambda1_power_order", tol, cols)
 
 
-def check_lambda1(
-    A, B, s: float, tol: float = 1e-8, tally: OracleTally | None = None
-) -> CheckOutcome:
+def check_lambda1(A, B, s: float, tol: float = 1e-8,
+                  tally: OracleTally | None = None) -> CheckOutcome:
     """Top-eigenvalue inequality for fractional powers of a product,
     lambda_1(A^{s/2} B^s A^{s/2}) <= lambda_1(A^{1/2} B A^{1/2})^s for
     s in [0, 1], together with its full log-majorization lift.  Products
     are evaluated through Hermitian similarity throughout."""
-    return _lambda1(*_one(A, B), *_col(_check_weight(s, "s")), _check_positive(tol, "tol"), tally)[0]
+    return _lambda1(*_one(A, B), *_col(_weight(s, "s")), *_positive(tol=tol), tally)[0]
 
 
 # --------------------------------------------------------------------------
@@ -718,8 +704,8 @@ def _means_identities(A, B, t, r, s, alpha, beta, tol):
     cols["factor_left"] = _equality(gram(_metric_factor(inv_a, n_ab, 0.5)), Gt)
     inv_n_ba = spd(power_from_eig(n_ba.w, n_ba.U, -1.0))
     cols["factor_right"] = _equality(gram(_metric_factor(inv_n_ba, b, 0.5)), Gt)
-    cols["conjugation"] = _equality(hermitize(Gt @ A @ Gt), nat_ab)
-    cols["conjugation_reverse"] = _equality(hermitize(Gti @ B @ Gti), nat_ba)
+    cols["conjugation"] = _equality(_hermitize(Gt @ A @ Gt), nat_ab)
+    cols["conjugation_reverse"] = _equality(_hermitize(Gti @ B @ Gti), nat_ba)
     mix = (1.0 - t) * r + t * s
     cols["interpolation"] = _equality(
         gram(_nat_factor(spd(nat(C_ab, a, r)), spd(nat(C_ab, a, s)), t)), nat(C_ab, a, mix))
@@ -727,7 +713,7 @@ def _means_identities(A, B, t, r, s, alpha, beta, tol):
     cols["endpoint_b"] = _equality(nat(C_ab, a, 1.0), B)
 
     # determinant identity, in log space
-    log_det_nat = np.sum(np.log(spectrum_of_factor(F_ab)), axis=-1)
+    log_det_nat = np.sum(np.log(_spectrum_of_factor(F_ab)), axis=-1)
     target = (1.0 - t) * np.sum(np.log(a.w), axis=-1) + t * np.sum(np.log(b.w), axis=-1)
     cols["determinant"] = -np.abs(log_det_nat - target)
 
@@ -737,8 +723,8 @@ def _means_identities(A, B, t, r, s, alpha, beta, tol):
     cols["homogeneity"] = _equality(scaled, np.array(coef)[:, None, None] * nat_ab)
 
     # midpoint spectrum property: lambda(A nat B) = sqrt(lambda(A B))
-    lam_nat = spectrum_of_factor(_spectral_factor(C_ab, a, 0.5))
-    lam_prod = spectrum_of_factor(a.root @ b.root)
+    lam_nat = _spectrum_of_factor(_spectral_factor(C_ab, a, 0.5))
+    lam_prod = _spectrum_of_factor(a.root @ b.root)
     cols["sqrt_spectrum"] = -np.max(np.abs(lam_nat - np.sqrt(lam_prod)) / np.sqrt(lam_prod), axis=-1)
     return _outcomes("means_identities", tol, cols)
 
@@ -749,8 +735,8 @@ def check_means_identities(A, B, t: float, r: float = 0.25, s: float = 0.75, alp
     the conjugating-factor identities, interpolation, endpoint values,
     determinant and homogeneity identities, and the square-root spectrum
     property of the midpoint mean."""
-    weights = _check_weight(t), _check_weight(r, "r"), _check_weight(s, "s")
-    alpha, beta, tol = map(_check_positive, (alpha, beta, tol), ("alpha", "beta", "tol"))
+    weights = _weight(t), _weight(r, "r"), _weight(s, "s")
+    alpha, beta, tol = _positive(alpha=alpha, beta=beta, tol=tol)
     return _means_identities(*_one(A, B), *_col(*weights, alpha, beta), tol)[0]
 
 
@@ -761,21 +747,19 @@ def _similarity(A, B, t, tol):
 
     S = wit.conjugator
     conjugated = np.linalg.solve(S, sharp) @ S
-    resid = spectral_norm(conjugated - wit.target) / pymax(spectral_norm(sharp), 1e-30)
+    resid = _spectral_norm(conjugated - wit.target) / pymax(_spectral_norm(sharp), 1e-30)
     unit = max_abs(wit.rotator @ ct(wit.rotator) - np.eye(A.shape[-1]))
     spec_sharp = np.linalg.eigvalsh(sharp)[..., ::-1]
-    spec_dev = np.max(np.abs(spec_sharp - nonneg_spectrum(wit.target)) / spec_sharp, axis=-1)
+    spec_dev = np.max(np.abs(spec_sharp - _nonneg_spectrum(wit.target)) / spec_sharp, axis=-1)
     cols = {"t": t, "residual": -resid, "unitarity": -unit, "spectrum_match": -spec_dev}
     return _outcomes("similarity_witness", tol, cols)
 
 
-def check_similarity(
-    A, B, t: float, tol: float = TAU_SIM
-) -> CheckOutcome:
+def check_similarity(A, B, t: float, tol: float = TAU_SIM) -> CheckOutcome:
     """The constructed witness conjugates the midpoint metric mean onto
     the two-sided spectral-mean product: residual, unitarity of the
     rotator, and equality of the two spectra."""
-    return _similarity(*_one(A, B), *_col(_check_weight(t)), _check_positive(tol, "tol"))[0]
+    return _similarity(*_one(A, B), *_col(_weight(t)), *_positive(tol=tol))[0]
 
 
 # --------------------------------------------------------------------------
@@ -793,14 +777,13 @@ def _reproduce(out: CheckOutcome, ce: dict, computed, holds: bool = True) -> Che
     return out
 
 
-def check_natlog_counterexample(
-    tol: float = 1e-9, tally: OracleTally | None = None
-) -> CheckOutcome:
+def check_natlog_counterexample(tol: float = 1e-9,
+                                tally: OracleTally | None = None) -> CheckOutcome:
     """Reproduce the 2x2 fixture where s = 2.1 > 3/2, the provable bound at
     t = 1/3, breaks the sandwich-vs-mean log majorization.  The passing
     outcome is a FALSE ordering verdict together with reproduction of the
     reference values."""
-    ce, tol = NATLOG_COUNTEREXAMPLE, _check_positive(tol, "tol")
+    ce, (tol,) = NATLOG_COUNTEREXAMPLE, _positive(tol=tol)
     A, B, t, s = ce["A"], ce["B"], ce["t"], ce["s"]
     ops, params = _one(A, B), _col(t, s)
     F_mid, F_nat = factors = _natlog_factors(*map(spd, ops), *params)
@@ -816,7 +799,7 @@ def check_spectral_not_monotone(psd_tol: float = 1e-9) -> CheckOutcome:
     Loewner-monotone: B1 >= B2 but the difference of the two means has a
     negative eigenvalue.  The passing outcome is a FALSE PSD verdict with
     B1 >= B2 and the reference values reproduced."""
-    ce, psd_tol = MONOTONE_COUNTEREXAMPLE, _check_positive(psd_tol, "psd_tol")
+    ce, (psd_tol,) = MONOTONE_COUNTEREXAMPLE, _positive(psd_tol=psd_tol)
     (A, B1, B2), t = _one(ce["A"], ce["B1"], ce["B2"]), ce["t"]
     a = spd(A)
     N1, N2 = (gram(_nat_factor(a, spd(B), t)) for B in (B1, B2))
@@ -953,7 +936,7 @@ def _bounded_log(P: np.ndarray) -> np.ndarray:
     """Hermitian samples with spectral norm at most 1 (logs of PD draws)."""
     w, U = _pd_eigh(P)
     H = from_eig(U, np.log(w))
-    nrm = spectral_norm(H)[:, None, None]
+    nrm = _spectral_norm(H)[:, None, None]
     return np.where(nrm > 1.0, H / nrm, H)
 
 
@@ -1064,7 +1047,7 @@ def _run_trials(cfg: SuiteConfig, idx: int, check: _Check, tally: OracleTally):
     then evaluate the trials of each dimension in stacks of at most
     ``_STACK_ENTRIES`` matrix entries."""
     n_trials = 0 if cfg.trials == 0 or check.draw is None else int(getattr(cfg, check.trials))
-    entropy = seed_words(cfg.seed) + seed_words(idx)
+    entropy = seed_words(int(cfg.seed)) + seed_words(idx)
     words = np.empty((n_trials, len(entropy) + 1), dtype=np.uint32)
     words[:, :-1] = entropy
     words[:, -1] = np.arange(n_trials)

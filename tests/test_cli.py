@@ -373,6 +373,21 @@ class TestVerifyCommand:
 
 
 class TestLimitCommand:
+    def test_operands_too_wide_for_doubles_name_the_grid_point(self, tmp_path, capsys):
+        """exp(A) nat_t exp(B) at p = 1 needs condition numbers near e^53
+        for these samples (eigenvalues up to 53.2): the error names that
+        grid point instead of quoting an eigenvalue of a member."""
+        a = write(tmp_path, "a.json", sample_pd(4, 3, 100.0))    # spdmeans sample 4 3 100
+        b = write(tmp_path, "b.json", sample_pd(4, 5, 10.0))
+        out = tmp_path / "lim.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["limit", a, b, "--t", "0.3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: exp(pA) or exp(pB) leaves the positive-definite floor at p=1 (2^0): "
+            "the spectra of A and B are too wide for doubles\n")
+        assert not out.exists()
+
     def test_equal_arguments_zero_error(self, tmp_path, capsys):
         H = np.diag([0.3, -0.2])
         a = write(tmp_path, "a.json", H)

@@ -7,10 +7,13 @@ import scipy.linalg
 from spdmeans import (
     check_means_identities,
     compound,
+    compound_cross_check,
+    eig_log_majorizes,
     hermitian_eig,
     hermitize,
     is_hermitian,
     is_unitary,
+    ky_fan_norm,
     mat_exp,
     mat_log,
     mat_power,
@@ -20,7 +23,8 @@ from spdmeans import (
     spectral_norm,
     spectrum_of_factor,
 )
-from spdmeans.errors import BadOrder, NonHermitianInput, NonPositiveSpectrum
+from spdmeans.errors import (BadOrder, NonFiniteInput, NonHermitianInput, NonPositiveSpectrum,
+                             NumericBreakdown)
 from spdmeans.linalg import ETA_UNIT, TAU_RECON, power_from_eig, require_hermitian, spd
 
 
@@ -260,6 +264,7 @@ UNSUPPORTED = {
     "empty": np.zeros((0, 0)),
     "bool": np.eye(2, dtype=bool),
     "object": np.eye(2).astype(object),
+    "non-finite": np.array([[1.0, np.nan], [np.nan, np.inf]]),
 }
 BOUNDARY = {
     "metric_mean": lambda X: metric_mean(X, X, 0.5),
@@ -272,6 +277,10 @@ BOUNDARY = {
     "check_means_identities": lambda X: check_means_identities(X, X, 0.5),
     "spectral_norm": spectral_norm,
     "spectrum_of_factor": spectrum_of_factor,
+    "hermitize": hermitize,
+    "ky_fan_norm": lambda X: ky_fan_norm(X, 1),
+    "compound_cross_check": lambda X: compound_cross_check(X, X),
+    "eig_log_majorizes": lambda X: eig_log_majorizes(X, X),
 }
 
 
@@ -279,13 +288,31 @@ BOUNDARY = {
 @pytest.mark.parametrize("X", UNSUPPORTED.values(), ids=UNSUPPORTED)
 @pytest.mark.parametrize("fn", BOUNDARY.values(), ids=BOUNDARY)
 def test_boundary_rejects_empty_and_non_numeric_matrices(fn, X):
-    """A matrix must have n >= 1 and a numeric dtype; anything else is the
-    package's error at the boundary, not an IndexError, a numpy TypeError
-    or an empty result from inside."""
+    """A matrix must have n >= 1, a numeric dtype and finite entries;
+    anything else is the package's error at the boundary, not an
+    IndexError, a numpy TypeError or LinAlgError, an empty result or a NaN
+    from inside."""
     assert is_hermitian(X) is False and is_unitary(X) is False
-    with pytest.raises(NonHermitianInput,
-                       match="must be square with n >= 1|must be numeric|must be a matrix with a row"):
+    finite = np.issubdtype(X.dtype, np.number) and X.size and not np.isfinite(X).all()
+    with pytest.raises(NonFiniteInput if finite else NonHermitianInput,
+                       match="entries must be finite" if finite else
+                       "must be square with n >= 1|must be numeric|must be a matrix with a row"):
         fn(X)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, name", [
+    (lambda: mat_exp(np.diag([800.0, 1.0])), "mat_exp"),
+    (lambda: mat_power(np.diag([1e10, 1.0]), 1e5), "mat_power"),
+    (lambda: compound(1e200 * np.eye(3), 2), "compound"),
+    (lambda: spectrum_of_factor(1e200 * np.eye(2)), "spectrum_of_factor"),
+], ids=["mat_exp", "mat_power", "compound", "spectrum_of_factor"])
+def test_public_matrix_functions_refuse_an_overflowing_result(call, name):
+    """Finite input whose result overflows doubles raises NumericBreakdown
+    naming the function, without a numpy warning, instead of returning
+    inf or NaN entries."""
+    with pytest.raises(NumericBreakdown, match=f"^{name} result entries must be finite$"):
+        call()
 
 
 @pytest.mark.parametrize("fn", [spectral_norm, spectrum_of_factor])

@@ -21,7 +21,7 @@ from spdmeans import (
     weak_majorizes,
 )
 from spdmeans.errors import (BadOrder, DimensionMismatch, LengthMismatch, NegativeEntry,
-                             NonrealSpectrum, NumericBreakdown)
+                             NonFiniteInput, NonrealSpectrum, NumericBreakdown)
 from spdmeans.suite import NATLOG_COUNTEREXAMPLE
 
 
@@ -181,6 +181,20 @@ def test_reports_take_one_pair_of_vectors_or_matrices(call, message):
     assert not eig_log_majorizes(STACK_X[1], STACK_Y[1]).verdict
     with pytest.raises(DimensionMismatch, match=message):
         call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("report", [majorizes, weak_majorizes, log_majorizes])
+@pytest.mark.parametrize("y, x, name", [
+    ([np.nan, 1.0], [1.0, 1.0], "y"),
+    ([2.0, 1.0], [1.0, np.inf], "x"),
+    ([2.0, -np.inf], [1.0, 1.0], "y"),
+], ids=["y-nan", "x-inf", "y-minus-inf"])
+def test_reports_refuse_non_finite_spectra(report, y, x, name):
+    """An inf or NaN entry is refused by name instead of giving a report:
+    its margins would be NaN or infinite and the verdict meaningless."""
+    with pytest.raises(NonFiniteInput, match=f"^{name} entries must be finite$"):
+        report(y, x)
 
 
 class TestKyFanNorm:
