@@ -112,6 +112,13 @@ def require_integer(v, name: str, lo: int = 0, hi: float = math.inf, error=Value
     raise error(f"{name} must {where}, got {v!r}")
 
 
+def require_flag(v, name: str) -> bool:
+    """v as a bool: ``True`` or ``False`` (numpy's too), never another truthy value."""
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    raise ValueError(f"{name} must be true or false, got {v!r}")
+
+
 def require_real(v, name: str, lo: float = -math.inf, hi: float = math.inf,
                  positive: bool = False) -> float:
     """v as a float: a finite real (numpy's too, not a ``bool``) in [lo, hi], > 0 if ``positive``."""
@@ -406,6 +413,13 @@ def rng_keys(seeds) -> np.ndarray:
     return seed_hash(words, 8).astype("<u4").view("<u8").astype(np.uint64)
 
 
+def _pcg_seed(key) -> tuple[int, int]:
+    """PCG64's ``(state, inc)`` as ``default_rng`` seeds it from a key (a row of ``rng_keys``)."""
+    s_hi, s_lo, i_hi, i_lo = key
+    inc = (((i_hi << 64) | i_lo) << 1 | 1) & _M128
+    return ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _M128, inc
+
+
 def generators(keys) -> Iterator[np.random.Generator]:
     """One generator, set in turn to the state ``default_rng`` starts from
     for each PCG64 key (a row of ``rng_keys``): draw from it for one key
@@ -413,12 +427,63 @@ def generators(keys) -> Iterator[np.random.Generator]:
     rng = np.random.Generator(np.random.PCG64(0))
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for s_hi, s_lo, i_hi, i_lo in np.asarray(keys).tolist():
-        # PCG64 seeding: the first two words the initial state, the last two the stream
-        pcg["inc"] = inc = (((i_hi << 64) | i_lo) << 1 | 1) & _M128
-        pcg["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _M128
+    for pcg["state"], pcg["inc"] in map(_pcg_seed, np.asarray(keys).tolist()):
         rng.bit_generator.state = state
         yield rng
+
+
+class Lockstep:
+    """The generators of ``generators(keys)`` side by side: ``integers(low,
+    high)`` (a range of at most 2**32, per key or for all), ``random()`` and
+    ``bit_generator.random_raw()`` return one entry per key, bitwise that
+    key's generator's.  As numpy does, integers take Lemire's method on the
+    32-bit halves of 64-bit outputs (the high half buffered) and ``random()``
+    53-bit doubles.  States are (4, N) arrays of 32-bit limbs, lowest first."""
+
+    _mult = [np.uint64((_PCG_MULT >> s) & _M32) for s in (0, 32, 64, 96)]
+    bit_generator = property(lambda self: self)   # for bit_generator.random_raw(), as on a Generator
+
+    def __init__(self, keys):
+        data = b"".join(v.to_bytes(16, "little") for key in np.asarray(keys).tolist()
+                        for v in _pcg_seed(key))
+        limbs = np.frombuffer(data, "<u4").reshape(-1, 2, 4).transpose(1, 2, 0)
+        self.state, self.inc = limbs.astype(np.uint64)
+        self.rows = np.arange(n := self.state.shape[1])
+        self.has_half, self.half = np.zeros(n, bool), np.zeros(n, np.uint64)
+
+    def random_raw(self, rows=None) -> np.ndarray:
+        """Step the LCG (state * mult + inc) of the rows, all by default; return XSL-RR outputs."""
+        rows = self.rows if rows is None else rows
+        x, out = self.state[:, rows], self.inc[:, rows]
+        for j, m in enumerate(self._mult):
+            p = x[:4 - j] * m
+            out[j:] += p & _M32
+            out[j + 1:] += (p >> 32)[:3 - j]
+        for k in range(3):
+            out[k + 1] += out[k] >> 32
+        x = self.state[:, rows] = out & _M32
+        v, rot = (x[3] << 32 | x[2]) ^ (x[1] << 32 | x[0]), x[3] >> 26
+        return v >> rot | v << (64 - rot & 63)
+
+    def _next32(self, rows: np.ndarray) -> np.ndarray:
+        """The rows' buffered halves, or the low halves of new outputs."""
+        had, out = self.has_half[rows], self.half[rows]
+        x = self.random_raw(fresh := rows[~had])
+        out[~had], self.half[fresh], self.has_half[rows] = x & _M32, x >> 32, ~had
+        return out
+
+    def integers(self, low, high) -> np.ndarray:
+        span = np.broadcast_to(np.asarray(high) - low, self.rows.shape).astype(np.uint64)
+        out = np.zeros(len(span), dtype=np.int64)
+        rows = self.rows[span > 1]                 # a range of one draws nothing
+        while rows.size:                           # Lemire: redraw rows whose leftover is rejected
+            m = self._next32(rows) * span[rows]
+            out[rows] = m >> 32
+            rows = rows[(m & _M32) < (2**32 - span[rows]) % span[rows]]
+        return low + out
+
+    def random(self) -> np.ndarray:
+        return (self.random_raw() >> 11) * (1.0 / 9007199254740992.0)
 
 
 def pd_draws(n: int, keys, spreads) -> tuple[np.ndarray, np.ndarray]:

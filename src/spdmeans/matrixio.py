@@ -17,6 +17,8 @@ from typing import Any
 
 import numpy as np
 
+from .linalg import require_flag, require_integer, require_matrix, require_same_shape
+
 
 def format_float(x: float) -> str:
     x = float(x)
@@ -44,7 +46,7 @@ def _dump(value: Any, pad: str = "") -> str:
 
 
 def _scalar(value: Any) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -61,9 +63,7 @@ def dumps(obj: Any) -> str:
 
 
 def matrix_to_dict(M: np.ndarray) -> dict:
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {M.shape}")
+    (M,) = require_same_shape(require_matrix(M), single="matrix files")
     is_complex = bool(np.iscomplexobj(M) and np.any(M.imag != 0))
     d: dict[str, Any] = {
         "n": int(M.shape[0]),
@@ -79,8 +79,8 @@ def matrix_from_dict(d: Any) -> np.ndarray:
     if not isinstance(d, dict):
         raise ValueError("matrix file must contain a JSON object")
     try:
-        n = int(d["n"])
-        is_complex = bool(d["complex"])
+        n = require_integer(d["n"], "n", 1)
+        is_complex = require_flag(d["complex"], "complex")
         re = np.array(d["data_re"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix file: {exc}") from exc

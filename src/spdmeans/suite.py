@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import NumericBreakdown, PreconditionNotMet, SOutOfRange
 from .linalg import (
+    Lockstep,
     Spd,
     _below_floor,
     _eigh,
@@ -46,13 +47,13 @@ from .linalg import (
     any_true,
     ct,
     from_eig,
-    generators,
     max_abs,
     pd_compose,
     pd_draws,
     power_from_eig,
     pymax,
     require_hermitian,
+    require_flag,
     require_integer,
     require_real,
     require_same_shape,
@@ -173,8 +174,7 @@ class SuiteConfig:
         for key in ("tol", "psd_tol", "limit_err_threshold", "limit_floor"):
             require_real(getattr(self, key), f"config field {key} (a threshold)", positive=True)
         for key in ("s_at_bound", "force_out_of_range"):
-            if not isinstance(v := getattr(self, key), bool):
-                raise ValueError(f"config field {key} must be true or false, got {v!r}")
+            require_flag(getattr(self, key), f"config field {key}")
         if not isinstance(self.dims, (tuple, list)) or len(self.dims) != 2:
             raise ValueError(f"config field dims must be a pair of integers, got {self.dims!r}")
         require_integer(self.dims[1], "config field dims[1]",
@@ -415,7 +415,7 @@ def check_natlog(A, B, t: float, s: float, tol: float = 1e-8, force: bool = Fals
     in the battery.
     """
     t, s, tol = _weight(t), *_positive(s=s, tol=tol)
-    if _beyond_bound(t, s) and not force:
+    if not require_flag(force, "force") and _beyond_bound(t, s):
         raise SOutOfRange(f"s={s} exceeds the provable bound {s_provable_bound(t):.6g} for t={t}")
     return _natlog(*_one(A, B), *_col(t, s), tol, tally)[0]
 
@@ -819,9 +819,9 @@ _POWER_CAP_EXP = 3.0
 _ORACLE_SPREAD_CAP = 100.0
 
 
-def _capped_spread(spread: float, power: float) -> float:
+def _capped_spread(spread: float, power):
     """Per-trial spread cap for the ensembles whose verdicts feed the
-    compound cross oracle.
+    compound cross oracle, for each power (a scalar or one per trial).
 
     The end-to-end composition sees condition numbers like kappa^(2*power);
     keeping kappa below 10^(3/power), and below the default ensemble scale
@@ -829,53 +829,49 @@ def _capped_spread(spread: float, power: float) -> float:
     the factored eigenvalue route and the oracle's entrywise determinants)
     well below the 1e-8 gate (measured; see README, numerical notes).
     Direct ``check_*`` calls are not capped."""
-    return min(spread, _ORACLE_SPREAD_CAP, 10.0 ** (_POWER_CAP_EXP / max(power, 1.0)))
+    powers = sorted(set(np.ravel(power).tolist()))   # each capped once, by libm's pow
+    caps = [min(spread, _ORACLE_SPREAD_CAP, 10.0 ** (_POWER_CAP_EXP / max(p, 1.0))) for p in powers]
+    return np.array(caps)[np.searchsorted(powers, power)]
 
 
-# A trial's draws are taken from its own generator in a fixed order: the
-# dimension (drawn by ``_run_trials``), the parameters, then the seeds of
-# its random matrices (a dict display draws its entries in order).  A
-# matrix is kept as ``(n, spread, seed)`` until ``_seed_matrices`` hashes
-# the seeds of a whole check into PCG64 keys; its Gaussian and eigenvalue
-# draws are made per stack.
+# A trial draws from its own generator in a fixed order: the dimension (in
+# ``_run_trials``), the parameters, then its matrices as ``(spread, seed)``
+# (a dict display draws in order).  The ``_trial_*`` functions take a numpy
+# Generator (one trial) or a ``Lockstep`` stream (a column per draw).
 
-def _draw_seed(rng) -> int:
-    # rng.integers(0, 2**62): Lemire's method on a power-of-two range is a shift
-    return rng.bit_generator.random_raw() >> 2
-
-
-def _uniform(rng, lo: float, hi: float) -> float:
+def _uniform(rng, lo: float, hi: float):
     # bitwise rng.uniform(lo, hi)
     return lo + (hi - lo) * rng.random()
 
 
-def _draw(grid, rng) -> float:
-    return float(grid[int(rng.integers(len(grid)))])
+def _draw(grid, rng):
+    return np.asarray(grid, dtype=float)[rng.integers(0, len(grid))]
 
 
-def _draw_pd(rng, n: int, spread: float) -> tuple:
-    return n, spread, _draw_seed(rng)
+def _draw_pd(rng, spread) -> tuple:
+    # the seed is rng.integers(0, 2**62): Lemire's method on a power-of-two range is a shift
+    return spread, rng.bit_generator.random_raw() >> 2
 
 
-def _draw_pair(rng, n: int, spread: float) -> dict:
-    return {"A": _draw_pd(rng, n, spread), "B": _draw_pd(rng, n, spread)}
+def _draw_pair(rng, spread) -> dict:
+    return {"A": _draw_pd(rng, spread), "B": _draw_pd(rng, spread)}
 
 
-def _trial_identities(cfg, rng, n):
+def _trial_identities(cfg, rng):
     return {**{key: _draw(cfg.t_grid, rng) for key in ("t", "r", "s")},
             **{key: _draw((0.5, 2.0, 10.0), rng) for key in ("alpha", "beta")},
-            **_draw_pair(rng, n, cfg.spread)}
+            **_draw_pair(rng, cfg.spread)}
 
 
-def _trial_pair(cfg, rng, n, power: float | None = None):
+def _trial_pair(cfg, rng, power: float | None = None):
     """A weight and a pair, with the spread capped for ``power`` if given."""
     spread = cfg.spread if power is None else _capped_spread(cfg.spread, power)
-    return {"t": _draw(cfg.t_grid, rng), **_draw_pair(rng, n, spread)}
+    return {"t": _draw(cfg.t_grid, rng), **_draw_pair(rng, spread)}
 
 
-def _trial_power(cfg, rng, n):
+def _trial_power(cfg, rng):
     t, r = _draw(cfg.t_grid, rng), _draw(cfg.r_grid, rng)
-    return {"t": t, "r": r, **_draw_pair(rng, n, _capped_spread(cfg.spread, r))}
+    return {"t": t, "r": r, **_draw_pair(rng, _capped_spread(cfg.spread, r))}
 
 
 def _s_choices(cfg, t: float) -> list[float]:
@@ -892,44 +888,38 @@ def _s_choices(cfg, t: float) -> list[float]:
     return choices
 
 
-def _trial_natlog(cfg, rng, n):
-    t = _draw(cfg.t_grid, rng)
-    s = _draw(_s_choices(cfg, t), rng)
-    return {"t": t, "s": s, **_draw_pair(rng, n, _capped_spread(cfg.spread, s))}
+def _trial_natlog(cfg, rng):
+    i = rng.integers(0, len(cfg.t_grid))         # draws t = t_grid[i], then s from its choices
+    choices = [_s_choices(cfg, t) for t in cfg.t_grid]
+    start = np.cumsum([0] + [len(c) for c in choices])
+    s = np.array(sum(choices, []), dtype=float)[rng.integers(start[i], start[i + 1])]
+    return {"t": np.asarray(cfg.t_grid, dtype=float)[i], "s": s,
+            **_draw_pair(rng, _capped_spread(cfg.spread, s))}
 
 
-def _trial_loewner_monotone(cfg, rng, n):
-    d = _trial_pair(cfg, rng, n)
+def _trial_loewner_monotone(cfg, rng):
+    d = _trial_pair(cfg, rng)
     for key in ("C", "D"):                  # the shrink of A, then of B
-        d[f"{key}_perturbation"] = _draw_pd(rng, n, 10.0)
+        d[f"{key}_perturbation"] = _draw_pd(rng, 10.0)
         d[f"{key}_scale"] = _uniform(rng, 0.05, 0.9)
     return d
 
 
-def _trial_heinz(cfg, rng, n):
-    return {"B": _draw_pd(rng, n, cfg.spread), "perturbation": _draw_pd(rng, n, 10.0),
+def _trial_heinz(cfg, rng):
+    return {"B": _draw_pd(rng, cfg.spread), "perturbation": _draw_pd(rng, 10.0),
             "scale": _uniform(rng, 0.05, 2.0), "r": _uniform(rng, 0.0, 1.0)}
 
 
-def _trial_lambda1(cfg, rng, n):
-    return {"s": _uniform(rng, 0.0, 1.0), **_draw_pair(rng, n, _capped_spread(cfg.spread, 1.0))}
+def _trial_lambda1(cfg, rng):
+    return {"s": _uniform(rng, 0.0, 1.0), **_draw_pair(rng, _capped_spread(cfg.spread, 1.0))}
 
 
-def _seed_matrices(draws: list[dict]) -> None:
-    """Replace the seed of every random matrix of the draws by the PCG64
-    key of its generator, all hashed in one pass."""
-    mats = [(d, key) for d in draws for key, v in d.items() if isinstance(v, tuple)]
-    for (d, key), rng_key in zip(mats, rng_keys([d[key][2] for d, key in mats])):
-        d[key] = d[key][:2] + (rng_key,)
-
-
-def _stack(values: list) -> np.ndarray:
-    """One group's values of a draw key: seeded PD matrices become a
-    composed stack, scalars a column."""
-    if isinstance(values[0], tuple):
-        n, spreads, keys = values[0][0], [v[1] for v in values], np.stack([v[2] for v in values])
-        return pd_compose(*pd_draws(n, keys, spreads))
-    return np.array(values)
+def _stack(column, rows: np.ndarray, n: int) -> np.ndarray:
+    """Rows of one draw column, a matrix column (spreads, PCG64 keys) composed as an n x n stack."""
+    if isinstance(column, tuple):
+        spreads, keys = column
+        return pd_compose(*pd_draws(n, keys[rows], np.broadcast_to(spreads, len(keys))[rows]))
+    return column[rows]
 
 
 def _bounded_log(P: np.ndarray) -> np.ndarray:
@@ -973,14 +963,14 @@ _LIMIT = ("p_grid", "tol", "err_threshold", "floor", "tally")
 
 
 class _Check(NamedTuple):
-    """One entry of the battery.  ``draw`` makes the draws of one trial;
+    """One entry of the battery.  ``draw`` makes one trial's draws from a
+    Generator, or every trial's as columns from a ``Lockstep`` stream;
     ``derive``, if any, turns a group's stacked draws into the inputs of
-    the group evaluator ``evaluate`` in place (adding derived inputs and
+    the group evaluator ``evaluate`` in place (adding derived inputs,
     popping the raw draws consumed); ``public`` is the check_* function,
-    and ``fixed`` the positional inputs of its fixed rows.  Both functions
-    take the keyword options named in ``keywords``, as :meth:`options`
-    builds them.  ``trials`` names the config field with the trial count.
-    A fixture, which has fixed rows only, has no ``draw`` or ``evaluate``."""
+    ``fixed`` the positional inputs of its fixed rows, ``keywords`` the
+    options both take (built by :meth:`options`), ``trials`` the config
+    field with the trial count.  A fixture has no ``draw`` or ``evaluate``."""
 
     check_id: str
     draw: Callable | None
@@ -1042,35 +1032,30 @@ _REGISTRY = (
 
 
 def _run_trials(cfg: SuiteConfig, idx: int, check: _Check, tally: OracleTally):
-    """All trials of one check: draw each from its own generator (seeded
-    as ``default_rng(SeedSequence([seed, idx, k]).generate_state(1)[0])``),
-    then evaluate the trials of each dimension in stacks of at most
-    ``_STACK_ENTRIES`` matrix entries."""
-    n_trials = 0 if cfg.trials == 0 or check.draw is None else int(getattr(cfg, check.trials))
+    """All trials of one check: draw them in lockstep, each bitwise as from
+    its own generator (seeded as ``default_rng(SeedSequence([seed, idx,
+    k]).generate_state(1)[0])``), then evaluate the trials of each
+    dimension in stacks of at most ``_STACK_ENTRIES`` matrix entries."""
+    if cfg.trials == 0 or check.draw is None or not (n_trials := int(getattr(cfg, check.trials))):
+        return
     entropy = seed_words(int(cfg.seed)) + seed_words(idx)
-    words = np.empty((n_trials, len(entropy) + 1), dtype=np.uint32)
-    words[:, :-1] = entropy
-    words[:, -1] = np.arange(n_trials)
-    seeds = seed_hash(words, 1)[:, 0].tolist()
-    groups: dict[int, list[int]] = {}
-    draws = []
-    for k, rng in enumerate(generators(rng_keys(seeds))):
-        n = int(rng.integers(cfg.dims[0], cfg.dims[1] + 1))   # every trial draws it first
-        groups.setdefault(n, []).append(k)
-        draws.append(check.draw(cfg, rng, n))
-    _seed_matrices(draws)
-    stacks = []
-    for n, rows in groups.items():
-        size = max(1, _STACK_ENTRIES // (n * n))
-        stacks += [(n, rows[i:i + size]) for i in range(0, len(rows), size)]
-    for n, rows in stacks:
-        d = {key: _stack([draws[k][key] for k in rows]) for key in draws[rows[0]]}
-        for i, (k, out) in enumerate(zip(rows, check.run(cfg, tally, d))):
-            out.trial, out.seed = k, seeds[k]
-            if not out.verdict:             # matrices in key order, then scalars in draw order
-                out.witness = {**{key: d[key][i].copy() for key in sorted(d) if d[key].ndim > 1},
-                               **{key: float(d[key][i]) for key in d if d[key].ndim == 1}}
-            yield out
+    seeds = seed_hash([[*entropy, k] for k in range(n_trials)], 1)[:, 0]
+    stream = Lockstep(rng_keys(seeds))
+    dims = stream.integers(cfg.dims[0], cfg.dims[1] + 1)   # every trial draws it first
+    draws = check.draw(cfg, stream)
+    mats = [key for key, v in draws.items() if isinstance(v, tuple)]
+    keys = rng_keys(np.concatenate([draws[key][1] for key in mats])).reshape(len(mats), n_trials, 4)
+    draws.update((key, (draws[key][0], mat_keys)) for key, mat_keys in zip(mats, keys))
+    for n in dict.fromkeys(dims.tolist()):
+        group, size = np.flatnonzero(dims == n), max(1, _STACK_ENTRIES // (n * n))
+        for rows in (group[i:i + size] for i in range(0, len(group), size)):
+            d = {key: _stack(column, rows, n) for key, column in draws.items()}
+            for i, (k, out) in enumerate(zip(rows.tolist(), check.run(cfg, tally, d))):
+                out.trial, out.seed = k, int(seeds[k])
+                if not out.verdict:         # matrices in key order, then scalars in draw order
+                    out.witness = {**{key: d[key][i].copy() for key in sorted(d) if d[key].ndim > 1},
+                                   **{key: float(d[key][i]) for key in d if d[key].ndim == 1}}
+                yield out
 
 
 def _check_rows(cfg: SuiteConfig, idx: int) -> tuple[list[CheckOutcome], OracleTally]:

@@ -27,11 +27,12 @@ from spdmeans.linalg import (
     pd_compose,
     pd_eig,
     pymax,
+    rng_keys,
     row_power,
     spd,
 )
 from spdmeans.majorization import _compound_order, _compound_spectra, nonneg_spectrum
-from spdmeans.suite import _REGISTRY, _seed_matrices, _stack
+from spdmeans.suite import _REGISTRY, _stack
 
 
 def bitwise_equal(x, y) -> bool:
@@ -45,25 +46,28 @@ def same_float(x: float, y: float) -> bool:
         x == y and math.copysign(1.0, x) == math.copysign(1.0, y))
 
 
-def draws(check, cfg: SuiteConfig, n: int, k: int) -> list[dict]:
-    trials = [check.draw(cfg, np.random.default_rng([cfg.seed, j]), n) for j in range(k)]
-    _seed_matrices(trials)
-    return trials
+def draws(check, cfg: SuiteConfig, k: int) -> dict:
+    """The draw columns of k trials, each drawn from its own generator; a
+    matrix column holds the spreads and the PCG64 keys of the seeds."""
+    trials = [check.draw(cfg, np.random.default_rng([cfg.seed, j])) for j in range(k)]
+    return {key: (np.array([d[key][0] for d in trials]), rng_keys([d[key][1] for d in trials]))
+            if isinstance(v, tuple) else np.array([d[key] for d in trials])
+            for key, v in trials[0].items()}
 
 
 @pytest.mark.parametrize("check", [c for c in _REGISTRY if c.draw], ids=lambda c: c.check_id)
 @pytest.mark.parametrize("n", [1, 3, 4, 6])
 def test_group_matches_batches_of_one(check, n):
     cfg = SuiteConfig(seed=5, p_min_exp=4)
-    trials = draws(check, cfg, n, 5)
-    stacked = {key: _stack([d[key] for d in trials]) for key in trials[0]}
+    columns, k = draws(check, cfg, 5), 5
+    stacked = {key: _stack(column, np.arange(k), n) for key, column in columns.items()}
     tally = OracleTally()
     group = check.run(cfg, tally, stacked)
     singles, single_tally = [], OracleTally()
-    for d in trials:
-        one = {key: _stack([d[key]]) for key in d}
+    for i in range(k):
+        one = {key: _stack(column, np.array([i]), n) for key, column in columns.items()}
         singles.extend(check.run(cfg, single_tally, one))
-    assert len(group) == len(singles) == len(trials)
+    assert len(group) == len(singles) == k
     for g, s in zip(group, singles):
         assert g.verdict == s.verdict
         assert same_float(g.worst_margin, s.worst_margin)

@@ -12,6 +12,7 @@ import dataclasses
 import inspect
 import math
 import pickle
+import re
 import sys
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 
 import spdmeans
 from spdmeans import linalg, majorization, matrixio, means, suite
-from spdmeans.errors import SpdMeansError
+from spdmeans.errors import DimensionMismatch, NonHermitianInput, SpdMeansError
 from spdmeans.suite import OracleTally, SuiteConfig, run_suite, summarize
 
 A3, B3 = spdmeans.sample_pd(3, 1, 10.0), spdmeans.sample_pd(3, 2, 10.0)
@@ -160,3 +161,76 @@ def test_group_evaluators_reach_no_validating_public_function(monkeypatch):
                                    derive=check.derive and flagged(check.derive))
             assert list(suite._run_trials(cfg, idx, spied, OracleTally()))
     assert calls == []
+
+
+# every flag: a public function's bool parameter, a bool config field and a
+# matrix file's "complex" (with the data_im block a true one needs)
+FLAGS = {
+    "check_natlog-force": lambda v: spdmeans.check_natlog(
+        np.diag([1.0, 4.0]), np.diag([9.0, 1.0]), 0.5, 2.5, force=v),
+    "SuiteConfig-s_at_bound": lambda v: SuiteConfig(s_grid=(), s_at_bound=v).validate(),
+    "SuiteConfig-force_out_of_range": lambda v: SuiteConfig(
+        s_grid=(0.5, 2.5), force_out_of_range=v).validate(),
+    "matrix_file-complex": lambda v: matrixio.matrix_from_dict(
+        {"n": 1, "complex": v, "data_re": [[2.0]], **({"data_im": [[0.5]]} if v else {})}),
+}
+
+
+def test_every_flag_is_covered():
+    public = {f"{name}-{p.name}" for name in spdmeans.__all__
+              if inspect.isfunction(fn := getattr(spdmeans, name))
+              for p in inspect.signature(fn).parameters.values() if p.annotation == "bool"}
+    config = {f"SuiteConfig-{f.name}" for f in dataclasses.fields(SuiteConfig) if f.type == "bool"}
+    assert public | config | {"matrix_file-complex"} == set(FLAGS)
+
+
+@pytest.mark.parametrize("bad", ["no", "", 1, 0, None, 1.0, np.int64(1)],
+                         ids=["no", "empty", "1", "0", "None", "1.0", "int64"])
+@pytest.mark.parametrize("flag", FLAGS)
+def test_flags_take_true_or_false_only(flag, bad):
+    """Any truthy value used to count as true: force="no" ran an s beyond
+    the provable bound."""
+    name = flag.split("-")[1]
+    message = rf"\b{name} must be true or false, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        FLAGS[flag](bad)
+
+
+@pytest.mark.parametrize("flag", FLAGS)
+def test_numpy_flags_are_accepted_as_bools(flag):
+    outcomes = {value: _outcome(FLAGS[flag], value) for value in (True, False)}
+    assert outcomes[True] != outcomes[False]   # each flag matters here
+    for value in (True, False):
+        assert _outcome(FLAGS[flag], np.bool_(value)) == outcomes[value]
+
+
+def test_a_numpy_flag_writes_the_report_of_its_bool():
+    reports = []
+    for flag in (np.True_, True):
+        cfg = SuiteConfig(trials=2, limit_trials=1, s_at_bound=flag)
+        rows = run_suite(cfg)
+        reports.append((matrixio.report_csv_text(rows),
+                        matrixio.dumps(matrixio.sanitize(summarize(rows, cfg)))))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("n", [True, False, 1.9, "1", 0, -1, None, np.float64(1.0)],
+                         ids=["True", "False", "1.9", "str", "0", "-1", "None", "float64"])
+def test_matrix_file_n_takes_the_integer_rule(n):
+    message = rf"\bn must be an integer >= 1, got {re.escape(repr(n))}$"
+    with pytest.raises(ValueError, match=message):
+        matrixio.matrix_from_dict({"n": n, "complex": False, "data_re": [[1.0]]})
+    one = matrixio.matrix_from_dict({"n": np.int64(1), "complex": False, "data_re": [[1.0]]})
+    assert one.shape == (1, 1) and one[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("M, error, message", [
+    (np.eye(2, dtype=bool), NonHermitianInput, "must be numeric, got dtype bool"),
+    (np.ones((2, 3)), NonHermitianInput, r"must be square with n >= 1, got shape \(2, 3\)"),
+    (np.ones(3), NonHermitianInput, r"must be square with n >= 1, got shape \(3,\)"),
+    (np.zeros((0, 0)), NonHermitianInput, r"must be square with n >= 1, got shape \(0, 0\)"),
+    (np.ones((2, 2, 2)), DimensionMismatch, r"must be single matrices, got shape \(2, 2, 2\)"),
+], ids=["bool", "2x3", "1-D", "0x0", "stack"])
+def test_matrix_to_dict_takes_the_matrix_rules(M, error, message):
+    with pytest.raises(error, match=message):
+        matrixio.matrix_to_dict(M)

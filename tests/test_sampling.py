@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdmeans import OracleTally, SuiteConfig, sample_pd
-from spdmeans.linalg import generators, pd_compose, pd_draws, rng_keys, seed_hash, seed_words
-from spdmeans.suite import _REGISTRY, CheckOutcome, _draw_seed, _run_trials, _uniform
+from spdmeans.linalg import (Lockstep, generators, pd_compose, pd_draws, rng_keys, seed_hash,
+                             seed_words)
+from spdmeans.suite import _REGISTRY, CheckOutcome, _draw_pd, _run_trials, _uniform
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**62 - 1, 2**64, 2**130]
 
@@ -85,6 +86,58 @@ def test_rng_keys_in_bulk_match_default_rng():
         assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
 
 
+def stream_state(stream: Lockstep, i: int) -> dict:
+    """Row i of a lockstep stream as numpy's ``bit_generator.state``."""
+    state, inc = (sum(int(v) << 32 * j for j, v in enumerate(x[:, i]))
+                  for x in (stream.state, stream.inc))
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": int(stream.has_half[i]), "uinteger": int(stream.half[i])}
+
+
+def test_lockstep_stream_matches_a_generator_per_key():
+    seeds = [0, 2**32 - 1, 2**62 - 1, 2**64 - 1]
+    seeds += np.random.default_rng(5).integers(0, 2**63, 1000).tolist()
+    stream, refs = Lockstep(rng_keys(seeds)), [np.random.default_rng(seed) for seed in seeds]
+    per_row = np.random.default_rng(6).integers(1, 2**32 + 1, len(seeds))
+    per_row[::7], per_row[::11] = 1, 2**32
+    draws32 = []
+    next32 = stream._next32
+    stream._next32 = lambda rows: draws32.append(len(rows)) or next32(rows)
+    calls = [
+        ("integers", (0, 7)),            # no buffered half: draws an output, keeps its high half
+        ("random", ()),                  # leaves the half buffered
+        ("integers", (2, 9)),            # takes the buffered half
+        ("integers", (4, 5)),            # range 1: draws nothing
+        ("integers", (0, 3 * 2**30)),    # Lemire rejects a quarter of the draws: rows are redrawn
+        ("random_raw", ()),
+        ("integers", (0, per_row)),      # one range per row, 1 and 2**32 among them
+        ("integers", (0, 2**32)),
+        ("integers", (-5, 3 * 2**30 - 5)),
+    ]
+    for name, args in calls * 3:
+        if name == "random_raw":
+            got = stream.bit_generator.random_raw()
+            want = [r.bit_generator.random_raw() for r in refs]
+        elif args[1:] and args[1] is per_row:
+            got = stream.integers(0, per_row)
+            want = [r.integers(h) for r, h in zip(refs, per_row.tolist())]
+        else:
+            got, want = getattr(stream, name)(*args), [getattr(r, name)(*args) for r in refs]
+        dtype = {"integers": np.int64, "random": np.float64, "random_raw": np.uint64}[name]
+        assert bitwise_equal(got, np.array(want, dtype=dtype)), (name, args)
+    assert draws32.count(len(seeds)) < len(draws32)   # the redraws took fewer rows
+    for i, ref in enumerate(refs):
+        assert stream_state(stream, i) == ref.bit_generator.state, seeds[i]
+
+
+def test_lockstep_stream_of_no_keys():
+    stream = Lockstep(rng_keys([]))
+    for got, dtype in ((stream.integers(0, 5), np.int64), (stream.integers(2, 9), np.int64),
+                       (stream.random(), np.float64),
+                       (stream.bit_generator.random_raw(), np.uint64)):
+        assert got.shape == (0,) and got.dtype == dtype
+
+
 def test_hypothesis_profile_is_derandomized():
     # loaded by tests/conftest.py, so every run draws the same examples
     assert settings.default.derandomize and settings.default.database is None
@@ -115,9 +168,9 @@ def reference_trials(check, cfg: SuiteConfig, idx: int) -> dict:
         rng = np.random.default_rng(int(np.random.SeedSequence([cfg.seed, idx, k]).generate_state(1)[0]))
         lo, hi = cfg.dims
         n = int(rng.integers(lo, hi + 1))
-        d = check.draw(cfg, rng, n)
-        # a matrix is drawn as (n, spread, seed)
-        trials.append({key: reference_pd(v[0], v[2], v[1]) if isinstance(v, tuple) else v
+        d = check.draw(cfg, rng)
+        # a matrix is drawn as (spread, seed)
+        trials.append({key: reference_pd(n, v[1], v[0]) if isinstance(v, tuple) else v
                        for key, v in d.items()})
     stacked = {}
     for key, v in trials[0].items():
@@ -129,12 +182,9 @@ def reference_trials(check, cfg: SuiteConfig, idx: int) -> dict:
     return stacked
 
 
-@pytest.mark.parametrize("seed", [3, 12345678901234567890])
-@pytest.mark.parametrize("n", [1, 3, 6])
-@pytest.mark.parametrize("idx", [i for i, c in enumerate(_REGISTRY) if c.draw],
-                         ids=[c.check_id for c in _REGISTRY if c.draw])
-def test_run_trials_hands_checks_the_reference_draws(idx, n, seed):
-    cfg = SuiteConfig(seed=seed, trials=5, limit_trials=4, dims=(n, n))
+def assert_run_trials_draws_the_reference(cfg: SuiteConfig, idx: int) -> None:
+    """``_run_trials`` hands check ``idx`` (with one dimension) bitwise the
+    stacked draws of ``reference_trials``, as one group."""
     check = _REGISTRY[idx]
     seen = []
 
@@ -150,6 +200,32 @@ def test_run_trials_hands_checks_the_reference_draws(idx, n, seed):
     assert list(seen[0]) == list(ref)
     for key in ref:
         assert bitwise_equal(seen[0][key], ref[key]), key
+
+
+DRAWING = [i for i, c in enumerate(_REGISTRY) if c.draw]
+
+
+@pytest.mark.parametrize("seed", [3, 12345678901234567890])
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("idx", DRAWING, ids=[_REGISTRY[i].check_id for i in DRAWING])
+def test_run_trials_hands_checks_the_reference_draws(idx, n, seed):
+    assert_run_trials_draws_the_reference(
+        SuiteConfig(seed=seed, trials=5, limit_trials=4, dims=(n, n)), idx)
+
+
+# grids whose draws have range 1 (nothing drawn), and natlog exponent
+# choices whose number depends on the weight drawn (one or two of them)
+ODD_GRIDS = {
+    "one-value-grids": dict(t_grid=(0.5,), r_grid=(2.0,), s_grid=(1.0,), s_at_bound=False),
+    "ranges-per-trial": dict(s_grid=(0.5, 1.5), s_at_bound=False),
+}
+
+
+@pytest.mark.parametrize("grids", ODD_GRIDS.values(), ids=ODD_GRIDS)
+@pytest.mark.parametrize("idx", DRAWING, ids=[_REGISTRY[i].check_id for i in DRAWING])
+def test_run_trials_draws_odd_grids_as_the_reference(idx, grids):
+    assert_run_trials_draws_the_reference(
+        SuiteConfig(seed=4, trials=40, limit_trials=6, dims=(3, 3), **grids), idx)
 
 
 @pytest.mark.parametrize("n", [1, 2, 6])
@@ -180,7 +256,7 @@ def test_draw_seed_is_integers_below_2_62(seed):
         rng, ref = ((np.random.default_rng(seed), np.random.default_rng(seed)) if fresh
                     else buffered(seed))
         for _ in range(50):
-            got, want = _draw_seed(rng), ref.integers(0, 2**62)
+            got, want = _draw_pd(rng, 10.0)[1], ref.integers(0, 2**62)
             assert type(got) is int and got == want
         # the draws leave the generator, buffered half included, as integers does
         assert rng.bit_generator.state == ref.bit_generator.state

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from spdmeans.suite import _REGISTRY
+
 ROOT = Path(__file__).resolve().parents[1]
 # the seed-1 counts that README and ROADMAP quote, largest first
 LAPACK_COUNTS = {
@@ -55,3 +57,13 @@ def test_import_cost_prints_the_modules_each_import_loads(subprocess_env):
     assert lines[1::2] == [f"{target} modules: {modules}" for target, modules in IMPORTED.items()]
     for line, target in zip(lines[2::2], IMPORTED):
         assert line.startswith(f"{target} wall_ms ") and line.endswith(" runs 1")
+
+
+def test_phase_times_prints_each_check_and_phase(subprocess_env):
+    lines = run_script("phase_times.py", ["--runs", "1"], subprocess_env)
+    columns = ["draw", "stack", "evaluate", "oracle", "fixed", "total"]
+    assert lines[0] == "| check | " + " | ".join(f"{c} ms" for c in columns) + " |"
+    assert lines[1] == "|---" * (len(columns) + 1) + "|"
+    rows = [line.strip("| ").split(" | ") for line in lines[2:]]
+    assert [row[0] for row in rows] == [check.check_id for check in _REGISTRY] + ["all"]
+    assert all(len(row) == len(columns) + 1 and min(map(float, row[1:])) >= 0.0 for row in rows)
