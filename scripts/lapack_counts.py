@@ -5,7 +5,9 @@ repeatable measure of the decompositions a change adds or removes.  The
 script sets one BLAS thread before numpy loads and pins its own process to
 one CPU, so every check of the battery runs in this process (a forked
 worker would take its share of the calls with it).  It prints the total,
-then one line per entry point, largest count first.
+then one line per entry point, largest count first, then one line per
+registry check in registry order: its id, its total and each entry point
+it calls with the count.  The check lines sum to the totals.
 
 Run from the repository root (about 1 s, or 3 s with ``--large-n``)::
 
@@ -29,15 +31,15 @@ import numpy as np  # noqa: E402
 
 from spdmeans import (g_factor, mat_power, metric_mean, sample_pd, similarity_witness,  # noqa: E402
                       spectral_mean)
-from spdmeans.suite import SuiteConfig, run_suite  # noqa: E402
+from spdmeans import suite  # noqa: E402
 
 ENTRY_POINTS = ("eigh", "svd", "eigvalsh", "qr", "det", "solve", "eigvals")
 LARGE_N = {"dims": (40, 64), "trials": 20, "limit_trials": 5}
 MEANS = (metric_mean, spectral_mean, g_factor, similarity_witness)
 
 
-def lapack_counts(run) -> dict[str, int]:
-    """Calls of each entry point made by ``run()`` in this process."""
+def lapack_counts(run, *args) -> tuple[object, dict[str, int]]:
+    """``run(*args)`` and the calls of each entry point it made in this process."""
     counts = dict.fromkeys(ENTRY_POINTS, 0)
     originals = {name: getattr(np.linalg, name) for name in ENTRY_POINTS}
 
@@ -49,11 +51,25 @@ def lapack_counts(run) -> dict[str, int]:
     try:
         for name, fn in originals.items():
             setattr(np.linalg, name, counted(name, fn))
-        run()
+        value = run(*args)
     finally:
         for name, fn in originals.items():
             setattr(np.linalg, name, fn)
-    return counts
+    return value, counts
+
+
+def battery_counts(cfg) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
+    """The counts of one ``run_suite(cfg)``, in all and per registry check id."""
+    per_check, check_rows = {}, suite._check_rows
+
+    def counted_rows(cfg, idx):
+        rows, per_check[suite._REGISTRY[idx].check_id] = lapack_counts(check_rows, cfg, idx)
+        return rows
+    try:
+        suite._check_rows = counted_rows
+        return lapack_counts(suite.run_suite, cfg)[1], per_check
+    finally:
+        suite._check_rows = check_rows
 
 
 def main() -> None:
@@ -65,16 +81,21 @@ def main() -> None:
     if args.means:
         A, B = sample_pd(4, 1, 100.0), sample_pd(4, 2, 100.0)   # drawn outside the count
         for fn, fn_args in [*((mean, (A, B, 0.3)) for mean in MEANS), (mat_power, (A, 0.3))]:
-            counts = lapack_counts(lambda: fn(*fn_args))
+            counts = lapack_counts(fn, *fn_args)[1]
             print(fn.__name__, *(f"{name} {c}" for name, c in counts.items() if c))
         return
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    cfg = SuiteConfig.from_dict({**(LARGE_N if args.large_n else {}), "seed": 1})
-    counts = lapack_counts(lambda: run_suite(cfg))
+    cfg = suite.SuiteConfig.from_dict({**(LARGE_N if args.large_n else {}), "seed": 1})
+    counts, per_check = battery_counts(cfg)
     print(f"total {sum(counts.values())}")
-    for name, count in sorted(counts.items(), key=lambda item: -item[1]):
-        print(f"{name} {count}")
+    order = sorted(counts, key=lambda name: -counts[name])
+    for name in order:
+        print(f"{name} {counts[name]}")
+    for check in suite._REGISTRY:
+        check_counts = per_check[check.check_id]
+        print(check.check_id, f"total {sum(check_counts.values())}",
+              *(f"{name} {check_counts[name]}" for name in order if check_counts[name]))
 
 
 if __name__ == "__main__":

@@ -162,16 +162,17 @@ def is_unitary(U: np.ndarray, tol: float = ETA_UNIT):
 
 def row_power(w: np.ndarray, e) -> np.ndarray:
     """``w ** e`` with one exponent per row of ``w`` (or one for all rows),
-    each distinct exponent applied as a Python float to its rows: numpy
-    takes sqrt, square or reciprocal for a scalar 0.5, 2 or -1 but pow,
-    which can differ in the last bit, for an exponent array."""
+    bitwise each row's exponent applied as a Python float: numpy takes
+    sqrt, square or reciprocal for a scalar 0.5, 2 or -1 but pow, which
+    can differ in the last bit, for an exponent array, so those rows are
+    redone with the scalar."""
     e = np.asarray(e, dtype=float)
     if e.ndim == 0:
         return w ** float(e)
-    out = np.empty_like(w)
-    for v in sorted(set(e.tolist())):   # np.unique would import numpy.ma
-        rows = e == v
-        out[rows] = w[rows] ** v
+    out = w ** e.reshape(e.shape + (1,) * (w.ndim - e.ndim))
+    for v in (0.5, 2.0, -1.0):
+        if any_true(rows := e == v):
+            out[rows] = w[rows] ** v
     return out
 
 
@@ -329,8 +330,12 @@ def spectrum_of_factor(F) -> np.ndarray:
 
 
 def _compound(M: np.ndarray, k: int) -> np.ndarray:
+    M = M.astype(M.dtype if M.dtype.kind in "fc" else float, copy=k == 1)   # det's dtype
+    if k == 1:
+        return M
     subs = np.array(list(combinations(range(M.shape[-1]), k)))
-    return np.linalg.det(M[..., subs[:, None, :, None], subs[None, :, None, :]])
+    S = M[..., subs[:, None, :, None], subs[None, :, None, :]]
+    return S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0] if k == 2 else np.linalg.det(S)
 
 
 def compound(M, k: int) -> np.ndarray:
@@ -338,7 +343,9 @@ def compound(M, k: int) -> np.ndarray:
 
     Rows and columns are indexed by the k-subsets of {1..n} in
     lexicographic order, so ``compound(M, 1) == M`` and
-    ``compound(M, n) == [[det M]]``.
+    ``compound(M, n) == [[det M]]``.  Orders 1 and 2 are closed forms (a
+    copy of M; ``a*d - b*c``), higher orders numpy's LU ``det``; the result
+    has ``det``'s dtype (float for integer entries).
     """
     M = require_matrix(M, "M", finite=True)
     return _overflow_checked("compound", _compound, M,
@@ -413,40 +420,41 @@ def rng_keys(seeds) -> np.ndarray:
     return seed_hash(words, 8).astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _pcg_seed(key) -> tuple[int, int]:
-    """PCG64's ``(state, inc)`` as ``default_rng`` seeds it from a key (a row of ``rng_keys``)."""
-    s_hi, s_lo, i_hi, i_lo = key
-    inc = (((i_hi << 64) | i_lo) << 1 | 1) & _M128
-    return ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _M128, inc
+def pcg_states(keys) -> np.ndarray:
+    """PCG64's ``(state, inc)`` as ``default_rng`` seeds it from each key (a
+    row of ``rng_keys``), in one pass: an ``(N, 2)`` object array of ints."""
+    s_hi, s_lo, i_hi, i_lo = np.asarray(keys, dtype=np.uint64).astype(object).T
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+    return np.stack([((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc], axis=-1)
 
 
-def generators(keys) -> Iterator[np.random.Generator]:
-    """One generator, set in turn to the state ``default_rng`` starts from
-    for each PCG64 key (a row of ``rng_keys``): draw from it for one key
+def generators(states) -> Iterator[np.random.Generator]:
+    """One generator, set in turn to each PCG64 ``(state, inc)`` (a row of
+    ``pcg_states``), where ``default_rng`` starts: draw from it for one row
     before advancing to the next."""
     rng = np.random.Generator(np.random.PCG64(0))
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for pcg["state"], pcg["inc"] in map(_pcg_seed, np.asarray(keys).tolist()):
+    for pcg["state"], pcg["inc"] in np.asarray(states).tolist():
         rng.bit_generator.state = state
         yield rng
 
 
 class Lockstep:
-    """The generators of ``generators(keys)`` side by side: ``integers(low,
-    high)`` (a range of at most 2**32, per key or for all), ``random()`` and
-    ``bit_generator.random_raw()`` return one entry per key, bitwise that
-    key's generator's.  As numpy does, integers take Lemire's method on the
-    32-bit halves of 64-bit outputs (the high half buffered) and ``random()``
-    53-bit doubles.  States are (4, N) arrays of 32-bit limbs, lowest first."""
+    """The generators of ``generators(pcg_states(keys))`` side by side:
+    ``integers(low, high)`` (a range of at most 2**32, per key or for all),
+    ``random()`` and ``bit_generator.random_raw()`` return one entry per
+    key, bitwise that key's generator's.  As numpy does, integers take
+    Lemire's method on the 32-bit halves of 64-bit outputs (the high half
+    buffered) and ``random()`` 53-bit doubles.  States are (4, N) arrays of
+    32-bit limbs, lowest first."""
 
     _mult = [np.uint64((_PCG_MULT >> s) & _M32) for s in (0, 32, 64, 96)]
     bit_generator = property(lambda self: self)   # for bit_generator.random_raw(), as on a Generator
 
     def __init__(self, keys):
-        data = b"".join(v.to_bytes(16, "little") for key in np.asarray(keys).tolist()
-                        for v in _pcg_seed(key))
-        limbs = np.frombuffer(data, "<u4").reshape(-1, 2, 4).transpose(1, 2, 0)
+        data = b"".join(v.to_bytes(16, "little") for v in pcg_states(keys).T.ravel().tolist())
+        limbs = np.frombuffer(data, "<u4").reshape(2, -1, 4).transpose(0, 2, 1)
         self.state, self.inc = limbs.astype(np.uint64)
         self.rows = np.arange(n := self.state.shape[1])
         self.has_half, self.half = np.zeros(n, bool), np.zeros(n, np.uint64)
@@ -486,13 +494,13 @@ class Lockstep:
         return (self.random_raw() >> 11) * (1.0 / 9007199254740992.0)
 
 
-def pd_draws(n: int, keys, spreads) -> tuple[np.ndarray, np.ndarray]:
+def pd_draws(n: int, states, spreads) -> tuple[np.ndarray, np.ndarray]:
     """The random draws of ``sample_pd`` for a stack, one matrix per PCG64
-    key and spread: a complex Gaussian matrix and log-uniform eigenvalues
-    in ``[1/spread, spread]``."""
-    G = np.empty((len(keys), 2, n, n))
-    u = np.empty((len(keys), n))
-    for i, rng in enumerate(generators(keys)):
+    state (a row of ``pcg_states``) and spread: a complex Gaussian matrix
+    and log-uniform eigenvalues in ``[1/spread, spread]``."""
+    G = np.empty((len(states), 2, n, n))
+    u = np.empty((len(states), n))
+    for i, rng in enumerate(generators(states)):
         rng.standard_normal(out=G[i])          # the real parts, then the imaginary
         rng.random(out=u[i])
     b = np.log(np.asarray(spreads, dtype=float))[:, None]
@@ -518,7 +526,7 @@ def sample_pd(n: int, seed: int, spread: float) -> np.ndarray:
     forces a unit spectrum, i.e. the identity.
     """
     n, spread = require_integer(n, "n", 1), require_real(spread, "spread", 1.0)
-    return pd_compose(*pd_draws(n, rng_keys(require_integer(seed, "seed")), [spread]))[0]
+    return pd_compose(*pd_draws(n, pcg_states(rng_keys(require_integer(seed, "seed"))), [spread]))[0]
 
 
 def _spectral_norm(X: np.ndarray) -> np.ndarray:

@@ -163,13 +163,14 @@ def _compound_spectra(X: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
     the top eigenvalues of the compounds ``C_k``, k = 1..n, the ratio
     lambda_1 / lambda_n behind the determinant slack, and the determinant.
     Where a compound's minors overflow, NumericBreakdown names the order."""
-    tops = []
-    for k in range(1, X.shape[-1] + 1):
+    tops, n = [], X.shape[-1]
+    for k in range(1, n + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             C = _compound(X, k)
         if not np.isfinite(C).all():
             raise NumericBreakdown(f"the compound oracle's order-{k} minors overflow doubles")
-        w = np.linalg.eigvalsh(C)
+        # C_n is 1 x 1, and its eigenvalue is its real part, as LAPACK returns it
+        w = np.linalg.eigvalsh(C) if k < n else C.real[..., 0, :]
         if k == 1:
             kappa = w[..., -1] / pymax(w[..., 0], _EPS * w[..., -1])
         tops.append(w[..., -1])

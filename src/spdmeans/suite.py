@@ -48,6 +48,7 @@ from .linalg import (
     ct,
     from_eig,
     max_abs,
+    pcg_states,
     pd_compose,
     pd_draws,
     power_from_eig,
@@ -134,6 +135,11 @@ class CheckOutcome:
     detail: dict[str, float] = field(default_factory=dict)
     trial: int = -1
     seed: int = 0
+
+    def __reduce__(self):
+        """Pickle (and copy) as the class and the fields in order, with no state dict."""
+        return type(self), (self.check_id, self.verdict, self.worst_margin, self.witness,
+                            self.detail, self.trial, self.seed)
 
 
 @dataclass
@@ -915,10 +921,10 @@ def _trial_lambda1(cfg, rng):
 
 
 def _stack(column, rows: np.ndarray, n: int) -> np.ndarray:
-    """Rows of one draw column, a matrix column (spreads, PCG64 keys) composed as an n x n stack."""
+    """Rows of one draw column, a matrix column (spreads, PCG64 states) composed as an n x n stack."""
     if isinstance(column, tuple):
-        spreads, keys = column
-        return pd_compose(*pd_draws(n, keys[rows], np.broadcast_to(spreads, len(keys))[rows]))
+        spreads, states = column
+        return pd_compose(*pd_draws(n, states[rows], np.broadcast_to(spreads, len(states))[rows]))
     return column[rows]
 
 
@@ -1044,8 +1050,8 @@ def _run_trials(cfg: SuiteConfig, idx: int, check: _Check, tally: OracleTally):
     dims = stream.integers(cfg.dims[0], cfg.dims[1] + 1)   # every trial draws it first
     draws = check.draw(cfg, stream)
     mats = [key for key, v in draws.items() if isinstance(v, tuple)]
-    keys = rng_keys(np.concatenate([draws[key][1] for key in mats])).reshape(len(mats), n_trials, 4)
-    draws.update((key, (draws[key][0], mat_keys)) for key, mat_keys in zip(mats, keys))
+    states = pcg_states(rng_keys(np.concatenate([draws[key][1] for key in mats])))
+    draws.update((key, (draws[key][0], s)) for key, s in zip(mats, states.reshape(-1, n_trials, 2)))
     for n in dict.fromkeys(dims.tolist()):
         group, size = np.flatnonzero(dims == n), max(1, _STACK_ENTRIES // (n * n))
         for rows in (group[i:i + size] for i in range(0, len(group), size)):

@@ -25,6 +25,7 @@ from spdmeans.linalg import (
     hermitize,
     mat_power,
     pd_compose,
+    pcg_states,
     pd_eig,
     pymax,
     rng_keys,
@@ -48,9 +49,10 @@ def same_float(x: float, y: float) -> bool:
 
 def draws(check, cfg: SuiteConfig, k: int) -> dict:
     """The draw columns of k trials, each drawn from its own generator; a
-    matrix column holds the spreads and the PCG64 keys of the seeds."""
+    matrix column holds the spreads and the PCG64 states of the seeds."""
     trials = [check.draw(cfg, np.random.default_rng([cfg.seed, j])) for j in range(k)]
-    return {key: (np.array([d[key][0] for d in trials]), rng_keys([d[key][1] for d in trials]))
+    return {key: (np.array([d[key][0] for d in trials]),
+                  pcg_states(rng_keys([d[key][1] for d in trials])))
             if isinstance(v, tuple) else np.array([d[key] for d in trials])
             for key, v in trials[0].items()}
 
@@ -86,6 +88,17 @@ def test_row_power_matches_scalar_power(e):
     for i in range(40):
         assert bitwise_equal(got[i], w[i] ** float(exps[i]))
     assert bitwise_equal(row_power(w, e), w ** e)
+
+
+def test_row_power_of_a_stack_matches_scalar_power():
+    """Exponents per matrix of a (P, N, n) spectrum stack or per leading row."""
+    rng = np.random.default_rng(3)
+    w = np.exp(rng.uniform(-3.0, 3.0, (3, 20, 5)))
+    mixed = rng.choice([0.5, 2.0, -1.0, 1.0, 0.0, 0.3], size=(3, 20))
+    for exps in (mixed + rng.choice([0.0, 0.1], size=(3, 20)), np.array([2.0, 0.7, -1.0])):
+        got = row_power(w, exps)
+        for idx in np.ndindex(exps.shape):
+            assert bitwise_equal(got[idx], w[idx] ** float(exps[idx]))
 
 
 def test_stacked_means_match_single_calls():

@@ -1,5 +1,7 @@
 """Kernel tests: eigendecomposition, matrix functions, compounds, sampling."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -155,6 +157,28 @@ class TestCompound:
         np.testing.assert_allclose(
             compound(M, 3), [[np.linalg.det(M)]], rtol=1e-12
         )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.int64, np.float32])
+    def test_order_one_is_a_copy_in_det_dtype(self, dtype):
+        M = sample_pd(4, 33, 100.0) * 10
+        M = (M if np.dtype(dtype).kind == "c" else M.real).astype(dtype)
+        got = compound(M, 1)
+        assert got.dtype == np.linalg.det(M).dtype
+        assert np.array_equal(got, M) and not np.shares_memory(got, M)
+        if M.dtype == got.dtype:
+            assert got.tobytes() == M.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_order_two_matches_lu_minors(self, n):
+        """To 1e-12 relative to |a d| + |b c|, the scale of both roundoffs
+        (a minor of nearly equal products cancels in either method)."""
+        subs = list(itertools.combinations(range(n), 2))
+        for seed in range(20):
+            M = sample_pd(n, seed, 1e3)
+            lu = np.array([[np.linalg.det(M[np.ix_(r, c)]) for c in subs] for r in subs])
+            scale = np.array([[abs(M[i, p] * M[j, q]) + abs(M[i, q] * M[j, p]) for p, q in subs]
+                              for i, j in subs])
+            assert np.all(np.abs(compound(M, 2) - lu) <= 1e-12 * scale)
 
     def test_top_eigenvalue_is_product_of_top_eigenvalues(self):
         P = sample_pd(3, 41, 10.0)

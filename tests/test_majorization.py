@@ -22,6 +22,8 @@ from spdmeans import (
 )
 from spdmeans.errors import (BadOrder, DimensionMismatch, LengthMismatch, NegativeEntry,
                              NonFiniteInput, NonrealSpectrum, NumericBreakdown)
+from spdmeans.linalg import _compound
+from spdmeans.majorization import _compound_spectra
 from spdmeans.suite import NATLOG_COUNTEREXAMPLE
 
 
@@ -258,6 +260,22 @@ class TestCompoundCrossCheck:
         rhs = spectral_mean(ce["A"], ce["B"], t)
         assert not compound_cross_check(lhs, rhs)
         assert not eig_log_majorizes(lhs, rhs).verdict
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_order_n_top_is_eigvalsh_of_the_one_by_one_compound(self, n):
+        X = np.stack([sample_pd(n, seed, 100.0) for seed in range(8)])
+        tops, kappa, det = _compound_spectra(X)
+        C = _compound(X, n)
+        assert tops[-1].tobytes() == np.linalg.eigvalsh(C)[..., -1].tobytes()
+        assert det.tobytes() == C.real[..., 0, 0].tobytes()
+        if n == 1:
+            assert np.all(kappa == 1.0)
+
+    def test_one_by_one(self):
+        assert compound_cross_check([[2.0]], [[2.0]])
+        assert not compound_cross_check([[2.0]], [[3.0]])   # equal determinants are required
+        X = np.array([[[1e-3]], [[5.0]]])
+        assert compound_cross_check(X, X).tolist() == [True, True]
 
     def test_dimension_cap(self):
         P = sample_pd(6, 95, 10.0)

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdmeans import OracleTally, SuiteConfig, sample_pd
-from spdmeans.linalg import (Lockstep, generators, pd_compose, pd_draws, rng_keys, seed_hash,
-                             seed_words)
+from spdmeans.linalg import (Lockstep, generators, pcg_states, pd_compose, pd_draws, rng_keys,
+                             seed_hash, seed_words)
 from spdmeans.suite import _REGISTRY, CheckOutcome, _draw_pd, _run_trials, _uniform
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**62 - 1, 2**64, 2**130]
@@ -64,7 +64,7 @@ def test_seed_hash_rows_zero_padded_to_four_words():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rng_keys_batch_of_one(seed):
     assert np.array_equal(rng_keys(seed), [numpy_key(seed)])
-    (rng,) = generators(rng_keys(seed))
+    (rng,) = generators(pcg_states(rng_keys(seed)))
     ref = np.random.default_rng(seed)
     assert rng.bit_generator.state == ref.bit_generator.state
     assert np.array_equal(rng.standard_normal(9), ref.standard_normal(9))
@@ -75,7 +75,7 @@ def test_rng_keys_in_bulk_match_default_rng():
     seeds += np.random.default_rng(3).integers(0, 2**62, 200).tolist()
     keys = rng_keys(seeds)
     assert np.array_equal(keys, [numpy_key(s) for s in seeds])
-    for seed, rng in zip(seeds, generators(keys)):
+    for seed, rng in zip(seeds, generators(pcg_states(keys))):
         ref = np.random.default_rng(seed)
         assert rng.bit_generator.state == ref.bit_generator.state
         # ranges below 2**32 draw 32-bit halves of 64-bit outputs and keep
@@ -148,7 +148,7 @@ def test_hypothesis_profile_is_derandomized():
 def test_any_seed_below_2_256(seed):
     assert np.array_equal(seed_hash(words([seed]), 8)[0],
                           np.random.SeedSequence(seed).generate_state(8))
-    (rng,) = generators(rng_keys(seed))
+    (rng,) = generators(pcg_states(rng_keys(seed)))
     assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
 
 
@@ -233,7 +233,7 @@ def test_pd_draws_match_default_rng_per_matrix(n):
     # one stack with a spread per row, spread 1 giving the unit spectrum
     seeds = [0, 1, 7, 2**32, 2**62 - 1, 12345678901234567890]
     spreads = [1.0, 10.0, 100.0, 1e6, 10.0, 1e6]
-    Z, lam = pd_draws(n, rng_keys(seeds), spreads)
+    Z, lam = pd_draws(n, pcg_states(rng_keys(seeds)), spreads)
     for i, (seed, spread) in enumerate(zip(seeds, spreads)):
         ref_Z, ref_lam = reference_pd(n, seed, spread)
         assert bitwise_equal(Z[i], ref_Z) and bitwise_equal(lam[i], ref_lam), (seed, spread)

@@ -2,7 +2,10 @@
 oracle tally and the first error do not depend on the worker count, and
 no worker outlives the run."""
 
+import copy
+import dataclasses
 import os
+import pickle
 import stat
 import subprocess
 import sys
@@ -51,6 +54,16 @@ def test_reference_config_has_failing_rows_with_witnesses(serial):
     assert {out.check_id for out in rows} == {check.check_id for check in _REGISTRY}
     assert any(not out.verdict and out.witness for out in rows)
     assert tally.comparisons > 0
+
+
+@pytest.mark.parametrize("copy_row", [lambda out: pickle.loads(pickle.dumps(out)), copy.copy,
+                                      copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+def test_a_row_with_a_witness_survives_pickle_and_copy(copy_row, serial):
+    out = next(out for out in serial[0] if not out.verdict and out.witness)
+    got = copy_row(out)
+    assert type(got) is CheckOutcome and got is not out
+    for f in dataclasses.fields(CheckOutcome):     # the detail and witness keys in order
+        assert_same_value(getattr(got, f.name), getattr(out, f.name))
 
 
 @fork_only
