@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import numbers
 from itertools import combinations
-from typing import Iterator
 
 import numpy as np
 
@@ -70,12 +69,16 @@ def pymax(a, b):
 
 
 def _matrix_defect(X: np.ndarray, square: bool = True) -> str:
-    """Why X is not a numeric matrix (or stack) with a row and a column, and
-    square if ``square``; '' if it is.  Reads attributes, not entries."""
+    """Why X is not a matrix (or stack) with a row and a column, square if
+    ``square``, of integers or a precision numpy.linalg takes (float32/64,
+    complex64/128); '' if it is.  Reads attributes, not entries."""
     if X.ndim < 2 or 0 in X.shape[-2:] or square and X.shape[-1] != X.shape[-2]:
         shape = "square with n >= 1" if square else "a matrix with a row and a column"
         return f"must be {shape}, got shape {X.shape}"
-    return "" if X.dtype.kind in "iufc" else f"must be numeric, got dtype {X.dtype}"
+    if X.dtype.kind in "iu" or X.dtype.type in (np.float32, np.float64, np.complex64, np.complex128):
+        return ""
+    kind = "float32/64 or complex64/128" if X.dtype.kind in "fc" else "numeric"
+    return f"must be {kind}, got dtype {X.dtype}"
 
 
 def require_finite(X: np.ndarray, name: str, error=NonFiniteInput) -> np.ndarray:
@@ -407,44 +410,26 @@ def seed_hash(words, n_words: int) -> np.ndarray:
     return out
 
 
-def rng_keys(seeds) -> np.ndarray:
-    """The key that ``np.random.default_rng(seed)`` seeds PCG64 with, for
-    each seed: ``SeedSequence(seed).generate_state(4, np.uint64)``, as an
-    ``(N, 4)`` uint64 array hashed in one pass.  ``seeds`` is an int of any
-    size (a batch of one) or an array of ints below 2**64."""
+def pcg_states(seeds) -> np.ndarray:
+    """PCG64's ``(state, inc)`` as ``np.random.default_rng(seed)`` seeds it
+    (from the key ``SeedSequence(seed).generate_state(4, np.uint64)``), for
+    each seed in one pass: an ``(N, 2)`` object array of ints.  ``seeds`` is
+    an int of any size (a batch of one) or an array of ints below 2**64."""
     if isinstance(seeds, int):
         words = np.array([seed_words(seeds)], dtype=np.uint32)
     else:
         s = np.asarray(seeds, dtype=np.uint64)
         words = np.stack([s & _M32, s >> 32], axis=-1)
-    return seed_hash(words, 8).astype("<u4").view("<u8").astype(np.uint64)
-
-
-def pcg_states(keys) -> np.ndarray:
-    """PCG64's ``(state, inc)`` as ``default_rng`` seeds it from each key (a
-    row of ``rng_keys``), in one pass: an ``(N, 2)`` object array of ints."""
-    s_hi, s_lo, i_hi, i_lo = np.asarray(keys, dtype=np.uint64).astype(object).T
+    s_hi, s_lo, i_hi, i_lo = seed_hash(words, 8).astype("<u4").view("<u8").astype(object).T
     inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
     return np.stack([((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc], axis=-1)
 
 
-def generators(states) -> Iterator[np.random.Generator]:
-    """One generator, set in turn to each PCG64 ``(state, inc)`` (a row of
-    ``pcg_states``), where ``default_rng`` starts: draw from it for one row
-    before advancing to the next."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for pcg["state"], pcg["inc"] in np.asarray(states).tolist():
-        rng.bit_generator.state = state
-        yield rng
-
-
 class Lockstep:
-    """The generators of ``generators(pcg_states(keys))`` side by side:
-    ``integers(low, high)`` (a range of at most 2**32, per key or for all),
-    ``random()`` and ``bit_generator.random_raw()`` return one entry per
-    key, bitwise that key's generator's.  As numpy does, integers take
+    """The generators ``np.random.default_rng(seed)`` of ``seeds`` side by
+    side: ``integers(low, high)`` (a range of at most 2**32, per seed or for
+    all), ``random()`` and ``bit_generator.random_raw()`` return one entry
+    per seed, bitwise that seed's generator's.  As numpy does, integers take
     Lemire's method on the 32-bit halves of 64-bit outputs (the high half
     buffered) and ``random()`` 53-bit doubles.  States are (4, N) arrays of
     32-bit limbs, lowest first."""
@@ -452,8 +437,8 @@ class Lockstep:
     _mult = [np.uint64((_PCG_MULT >> s) & _M32) for s in (0, 32, 64, 96)]
     bit_generator = property(lambda self: self)   # for bit_generator.random_raw(), as on a Generator
 
-    def __init__(self, keys):
-        data = b"".join(v.to_bytes(16, "little") for v in pcg_states(keys).T.ravel().tolist())
+    def __init__(self, seeds):
+        data = b"".join(v.to_bytes(16, "little") for v in pcg_states(seeds).T.ravel().tolist())
         limbs = np.frombuffer(data, "<u4").reshape(2, -1, 4).transpose(0, 2, 1)
         self.state, self.inc = limbs.astype(np.uint64)
         self.rows = np.arange(n := self.state.shape[1])
@@ -500,7 +485,11 @@ def pd_draws(n: int, states, spreads) -> tuple[np.ndarray, np.ndarray]:
     and log-uniform eigenvalues in ``[1/spread, spread]``."""
     G = np.empty((len(states), 2, n, n))
     u = np.empty((len(states), n))
-    for i, rng in enumerate(generators(states)):
+    rng = np.random.Generator(np.random.PCG64(0))   # set to each state in turn
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for i, (pcg["state"], pcg["inc"]) in enumerate(np.asarray(states).tolist()):
+        rng.bit_generator.state = state
         rng.standard_normal(out=G[i])          # the real parts, then the imaginary
         rng.random(out=u[i])
     b = np.log(np.asarray(spreads, dtype=float))[:, None]
@@ -526,7 +515,7 @@ def sample_pd(n: int, seed: int, spread: float) -> np.ndarray:
     forces a unit spectrum, i.e. the identity.
     """
     n, spread = require_integer(n, "n", 1), require_real(spread, "spread", 1.0)
-    return pd_compose(*pd_draws(n, pcg_states(rng_keys(require_integer(seed, "seed"))), [spread]))[0]
+    return pd_compose(*pd_draws(n, pcg_states(require_integer(seed, "seed")), [spread]))[0]
 
 
 def _spectral_norm(X: np.ndarray) -> np.ndarray:

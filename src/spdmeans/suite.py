@@ -58,7 +58,6 @@ from .linalg import (
     require_integer,
     require_real,
     require_same_shape,
-    rng_keys,
     row_power,
     seed_hash,
     seed_words,
@@ -563,9 +562,7 @@ def _limit(family, A, B, t, p_grid, tol, err_threshold, floor, tally):
     family of ``limit_members``."""
     n = A.shape[-1]
     target = limit_target(A, B, t)
-    # log of each reversed spectrum as a 1-D strided view, which numpy
-    # evaluates through libm rather than its contiguous SIMD loop
-    kf_scale = np.array([np.sum(np.exp(np.log(w[::-1]))) for w in np.linalg.eigvalsh(target)])
+    kf_scale = np.sum(np.exp(np.log(np.linalg.eigvalsh(target)[..., ::-1])), axis=-1)
 
     # the oracle's members are kept only where it runs (n <= 4)
     errs, specs, mats = [], [], []
@@ -1046,11 +1043,11 @@ def _run_trials(cfg: SuiteConfig, idx: int, check: _Check, tally: OracleTally):
         return
     entropy = seed_words(int(cfg.seed)) + seed_words(idx)
     seeds = seed_hash([[*entropy, k] for k in range(n_trials)], 1)[:, 0]
-    stream = Lockstep(rng_keys(seeds))
+    stream = Lockstep(seeds)
     dims = stream.integers(cfg.dims[0], cfg.dims[1] + 1)   # every trial draws it first
     draws = check.draw(cfg, stream)
     mats = [key for key, v in draws.items() if isinstance(v, tuple)]
-    states = pcg_states(rng_keys(np.concatenate([draws[key][1] for key in mats])))
+    states = pcg_states(np.concatenate([draws[key][1] for key in mats]))
     draws.update((key, (draws[key][0], s)) for key, s in zip(mats, states.reshape(-1, n_trials, 2)))
     for n in dict.fromkeys(dims.tolist()):
         group, size = np.flatnonzero(dims == n), max(1, _STACK_ENTRIES // (n * n))

@@ -28,7 +28,6 @@ from spdmeans.linalg import (
     pcg_states,
     pd_eig,
     pymax,
-    rng_keys,
     row_power,
     spd,
 )
@@ -52,7 +51,7 @@ def draws(check, cfg: SuiteConfig, k: int) -> dict:
     matrix column holds the spreads and the PCG64 states of the seeds."""
     trials = [check.draw(cfg, np.random.default_rng([cfg.seed, j])) for j in range(k)]
     return {key: (np.array([d[key][0] for d in trials]),
-                  pcg_states(rng_keys([d[key][1] for d in trials])))
+                  pcg_states([d[key][1] for d in trials]))
             if isinstance(v, tuple) else np.array([d[key] for d in trials])
             for key, v in trials[0].items()}
 

@@ -288,6 +288,10 @@ UNSUPPORTED = {
     "empty": np.zeros((0, 0)),
     "bool": np.eye(2, dtype=bool),
     "object": np.eye(2).astype(object),
+    # numeric dtypes that numpy.linalg refuses
+    "float16": np.eye(2, dtype=np.float16),
+    "longdouble": np.eye(2, dtype=np.longdouble),
+    "clongdouble": np.eye(2, dtype=np.clongdouble),
     "non-finite": np.array([[1.0, np.nan], [np.nan, np.inf]]),
 }
 BOUNDARY = {
@@ -312,15 +316,16 @@ BOUNDARY = {
 @pytest.mark.parametrize("X", UNSUPPORTED.values(), ids=UNSUPPORTED)
 @pytest.mark.parametrize("fn", BOUNDARY.values(), ids=BOUNDARY)
 def test_boundary_rejects_empty_and_non_numeric_matrices(fn, X):
-    """A matrix must have n >= 1, a numeric dtype and finite entries;
-    anything else is the package's error at the boundary, not an
-    IndexError, a numpy TypeError or LinAlgError, an empty result or a NaN
-    from inside."""
+    """A matrix must have n >= 1, a numeric dtype that numpy.linalg takes
+    and finite entries; anything else is the package's error at the
+    boundary, not an IndexError, a numpy TypeError or LinAlgError, an empty
+    result or a NaN from inside."""
     assert is_hermitian(X) is False and is_unitary(X) is False
     finite = np.issubdtype(X.dtype, np.number) and X.size and not np.isfinite(X).all()
     with pytest.raises(NonFiniteInput if finite else NonHermitianInput,
                        match="entries must be finite" if finite else
-                       "must be square with n >= 1|must be numeric|must be a matrix with a row"):
+                       "must be square with n >= 1|must be numeric|must be a matrix with a row|"
+                       f"must be float32/64 or complex64/128, got dtype {X.dtype}$"):
         fn(X)
 
 

@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdmeans import OracleTally, SuiteConfig, sample_pd
-from spdmeans.linalg import (Lockstep, generators, pcg_states, pd_compose, pd_draws, rng_keys,
-                             seed_hash, seed_words)
+from spdmeans.linalg import Lockstep, pcg_states, pd_compose, pd_draws, seed_hash, seed_words
 from spdmeans.suite import _REGISTRY, CheckOutcome, _draw_pd, _run_trials, _uniform
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**62 - 1, 2**64, 2**130]
@@ -22,8 +21,12 @@ def words(entropy: list[int]) -> np.ndarray:
     return np.array([[w for part in entropy for w in seed_words(part)]], dtype=np.uint32)
 
 
-def numpy_key(seed: int) -> np.ndarray:
-    return np.random.SeedSequence(seed).generate_state(4, np.uint64)
+def generator(state) -> np.random.Generator:
+    """A generator set to a PCG64 ``(state, inc)``, a row of ``pcg_states``."""
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": dict(zip(("state", "inc"), state)),
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def reference_pd(n: int, seed: int, spread: float) -> tuple[np.ndarray, np.ndarray]:
@@ -62,21 +65,18 @@ def test_seed_hash_rows_zero_padded_to_four_words():
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_rng_keys_batch_of_one(seed):
-    assert np.array_equal(rng_keys(seed), [numpy_key(seed)])
-    (rng,) = generators(pcg_states(rng_keys(seed)))
-    ref = np.random.default_rng(seed)
+def test_pcg_states_batch_of_one(seed):
+    (state,) = pcg_states(seed)
+    rng, ref = generator(state), np.random.default_rng(seed)
     assert rng.bit_generator.state == ref.bit_generator.state
     assert np.array_equal(rng.standard_normal(9), ref.standard_normal(9))
 
 
-def test_rng_keys_in_bulk_match_default_rng():
+def test_pcg_states_in_bulk_match_default_rng():
     seeds = [0, 1, 2**32 - 1, 2**32, 2**62 - 1, 2**64 - 1]
     seeds += np.random.default_rng(3).integers(0, 2**62, 200).tolist()
-    keys = rng_keys(seeds)
-    assert np.array_equal(keys, [numpy_key(s) for s in seeds])
-    for seed, rng in zip(seeds, generators(pcg_states(keys))):
-        ref = np.random.default_rng(seed)
+    for seed, state in zip(seeds, pcg_states(seeds), strict=True):
+        rng, ref = generator(state), np.random.default_rng(seed)
         assert rng.bit_generator.state == ref.bit_generator.state
         # ranges below 2**32 draw 32-bit halves of 64-bit outputs and keep
         # the unused half: a fresh generator holds none
@@ -94,10 +94,10 @@ def stream_state(stream: Lockstep, i: int) -> dict:
             "has_uint32": int(stream.has_half[i]), "uinteger": int(stream.half[i])}
 
 
-def test_lockstep_stream_matches_a_generator_per_key():
+def test_lockstep_stream_matches_a_generator_per_seed():
     seeds = [0, 2**32 - 1, 2**62 - 1, 2**64 - 1]
     seeds += np.random.default_rng(5).integers(0, 2**63, 1000).tolist()
-    stream, refs = Lockstep(rng_keys(seeds)), [np.random.default_rng(seed) for seed in seeds]
+    stream, refs = Lockstep(seeds), [np.random.default_rng(seed) for seed in seeds]
     per_row = np.random.default_rng(6).integers(1, 2**32 + 1, len(seeds))
     per_row[::7], per_row[::11] = 1, 2**32
     draws32 = []
@@ -130,8 +130,8 @@ def test_lockstep_stream_matches_a_generator_per_key():
         assert stream_state(stream, i) == ref.bit_generator.state, seeds[i]
 
 
-def test_lockstep_stream_of_no_keys():
-    stream = Lockstep(rng_keys([]))
+def test_lockstep_stream_of_no_seeds():
+    stream = Lockstep([])
     for got, dtype in ((stream.integers(0, 5), np.int64), (stream.integers(2, 9), np.int64),
                        (stream.random(), np.float64),
                        (stream.bit_generator.random_raw(), np.uint64)):
@@ -148,8 +148,8 @@ def test_hypothesis_profile_is_derandomized():
 def test_any_seed_below_2_256(seed):
     assert np.array_equal(seed_hash(words([seed]), 8)[0],
                           np.random.SeedSequence(seed).generate_state(8))
-    (rng,) = generators(pcg_states(rng_keys(seed)))
-    assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+    (state,) = pcg_states(seed)
+    assert generator(state).bit_generator.state == np.random.default_rng(seed).bit_generator.state
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -233,7 +233,7 @@ def test_pd_draws_match_default_rng_per_matrix(n):
     # one stack with a spread per row, spread 1 giving the unit spectrum
     seeds = [0, 1, 7, 2**32, 2**62 - 1, 12345678901234567890]
     spreads = [1.0, 10.0, 100.0, 1e6, 10.0, 1e6]
-    Z, lam = pd_draws(n, pcg_states(rng_keys(seeds)), spreads)
+    Z, lam = pd_draws(n, pcg_states(seeds), spreads)
     for i, (seed, spread) in enumerate(zip(seeds, spreads)):
         ref_Z, ref_lam = reference_pd(n, seed, spread)
         assert bitwise_equal(Z[i], ref_Z) and bitwise_equal(lam[i], ref_lam), (seed, spread)

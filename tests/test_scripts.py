@@ -1,9 +1,9 @@
 """The scripts under ``scripts/`` still run.  They read suite internals, so a
 rename that breaks one fails here."""
 
+import re
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,6 +11,7 @@ import pytest
 from spdmeans.suite import _REGISTRY
 
 ROOT = Path(__file__).resolve().parents[1]
+PHASES = ["draw", "stack", "evaluate", "oracle", "fixed", "total"]
 # the seed-1 counts that README and ROADMAP quote, largest first
 LAPACK_COUNTS = {
     "default": ["total 1135", "eigh 421", "svd 411", "eigvalsh 141", "qr 130", "det 21",
@@ -36,31 +37,45 @@ def run_script(script, args, env) -> list[str]:
     return proc.stdout.splitlines()
 
 
-@pytest.mark.parametrize("script, args", [
-    ("p_min_exp_range.py", ["0"]),
-    ("spread_range.py", ["--trials", "2", "100"]),
-])
-def test_script_prints_one_row_per_table(script, args, subprocess_env):
-    lines = run_script(script, args, subprocess_env)
-    rows = [line for line in lines if line.startswith(f"| {args[-1]} |")]
-    assert len(rows) == sum(line.startswith("|---") for line in lines) >= 1
+def test_every_script_is_run_by_a_test():
+    run = set(re.findall(r'run_script\(\s*"([\w.]+)"', Path(__file__).read_text(encoding="utf-8")))
+    assert run == {path.name for path in (ROOT / "scripts").glob("*.py")}
+
+
+@pytest.mark.parametrize("field, values", [("spread", ["100", "1000"]), ("p_min_exp", ["0", "3"])])
+def test_range_map_prints_one_row_per_value_in_each_table(field, values, subprocess_env):
+    lines = run_script("range_map.py", [field, *values, "--trials", "2"], subprocess_env)
+    assert lines[0] == "seed 1, 2 trials, otherwise the default configuration"
+    headers = [i for i, line in enumerate(lines) if line.startswith(f"| {field} | exit |")]
+    assert len(headers) == 2        # with the oracle spread caps, then with them lifted
+    for i in headers:
+        assert lines[i + 1] == "|---" * 5 + "|"
+        rows = lines[i + 2:i + 2 + len(values)]
+        assert [row.split(" | ")[0] for row in rows] == [f"| {value}" for value in values]
+        assert lines[i + 2 + len(values)] == ""
 
 
 @pytest.mark.parametrize("run", LAPACK_COUNTS)
-def test_lapack_counts_prints_the_total_and_each_entry_point(run, subprocess_env):
-    lines = run_script("lapack_counts.py", [] if run == "default" else [f"--{run}"], subprocess_env)
+def test_profile_prints_the_counts_then_each_check(run, subprocess_env):
+    args = {"default": ["--runs", "1"], "large-n": ["--runs", "1", "--large-n"], "means": ["--means"]}
+    lines = run_script("profile.py", args[run], subprocess_env)
     pinned = LAPACK_COUNTS[run]
     assert lines[:len(pinned)] == pinned
     if run == "means":
         assert len(lines) == len(pinned)
         return
-    # then each registry check's counts, which sum to the totals
-    rows = [line.split() for line in lines[len(pinned):]]
-    assert [row[0] for row in rows] == [check.check_id for check in _REGISTRY]
-    sums = Counter()
-    for row in rows:
-        sums.update({name: int(count) for name, count in zip(row[1::2], row[2::2])})
-    assert sums == {name: int(count) for name, count in map(str.split, pinned) if int(count)}
+    # then a row per registry check and one for all: phase times, calls, calls per entry point
+    totals = dict(map(str.split, pinned))
+    header, rule, *rows = lines[len(pinned):]
+    columns = [*(f"{phase} ms" for phase in PHASES), "calls", *list(totals)[1:]]
+    assert header == "| check | " + " | ".join(columns) + " |"
+    assert rule == "|---" * (len(columns) + 1) + "|"
+    rows = [row.strip("| ").split(" | ") for row in rows]
+    assert [row[0] for row in rows] == [check.check_id for check in _REGISTRY] + ["all"]
+    assert all(len(row) == len(columns) + 1 and min(map(float, row[1:7])) >= 0.0 for row in rows)
+    counts = [list(map(int, row[7:])) for row in rows]
+    assert [sum(column) for column in zip(*counts[:-1])] == counts[-1]
+    assert counts[-1] == list(map(int, totals.values()))
 
 
 def test_import_cost_prints_the_modules_each_import_loads(subprocess_env):
@@ -70,12 +85,3 @@ def test_import_cost_prints_the_modules_each_import_loads(subprocess_env):
     for line, target in zip(lines[2::2], IMPORTED):
         assert line.startswith(f"{target} wall_ms ") and line.endswith(" runs 1")
 
-
-def test_phase_times_prints_each_check_and_phase(subprocess_env):
-    lines = run_script("phase_times.py", ["--runs", "1"], subprocess_env)
-    columns = ["draw", "stack", "evaluate", "oracle", "fixed", "total"]
-    assert lines[0] == "| check | " + " | ".join(f"{c} ms" for c in columns) + " |"
-    assert lines[1] == "|---" * (len(columns) + 1) + "|"
-    rows = [line.strip("| ").split(" | ") for line in lines[2:]]
-    assert [row[0] for row in rows] == [check.check_id for check in _REGISTRY] + ["all"]
-    assert all(len(row) == len(columns) + 1 and min(map(float, row[1:])) >= 0.0 for row in rows)
