@@ -36,7 +36,7 @@ LIMIT_CHECKS = ("trace_descent", "limit_spectral", "limit_sandwich")
 # each field's value type and the values mapped when none are given
 FIELDS = {
     "spread": (float, (1e2, 1e3, 1e4, 3e4, 1e5, 3e5, 1e6)),
-    "p_min_exp": (int, (10, 19, 20, 24, 30, 40, 50, 55, 56, 57, 58)),
+    "p_min_exp": (int, (0, 1, 2, 10, 19, 20, 24, 30, 40, 50, 55, 56, 57, 58)),
 }
 
 

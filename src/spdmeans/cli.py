@@ -9,8 +9,8 @@ Subcommands::
     spdmeans sample          write a seeded random SPD matrix file
 
 Exit codes: 0 all expectations met, 1 mathematical violation found,
-2 input/config error.  The default output directory can be overridden
-with the SPDMEANS_OUT_DIR environment variable.
+2 input/config error or numerical abort.  The default output directory
+can be overridden with the SPDMEANS_OUT_DIR environment variable.
 """
 
 from __future__ import annotations
@@ -129,9 +129,9 @@ def _cmd_limit(args) -> int:
     traces = []
     for family, err in errs.items():
         for _, _, members in limit_members(family, A, B, t, grid):
-            err.extend(_spectral_norm(members - target))
+            err.extend(_spectral_norm(members[:, 0] - target[0]))
             if family == "spectral":
-                traces.extend(float(np.trace(X).real) for X in members)
+                traces.extend(float(np.trace(X).real) for X in members[:, 0])
     trace_target = float(np.trace(target[0]).real)
     rows = [(p, *row, trace_target)
             for p, *row in zip(grid, errs["spectral"], errs["sandwich"], traces)]

@@ -188,18 +188,17 @@ def _eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _below_floor(w: np.ndarray):
-    """Per spectrum (descending), whether it is at or below the positive-definite floor."""
-    return ((top := w.T[0]) <= 0.0) | (w.T[-1] <= EPS_PD * top)
+    """Per spectrum (descending, last axis), whether it is at or below the positive-definite
+    floor.  ``[()]`` makes a single spectrum's ends numpy scalars: 0-d array arithmetic is slower."""
+    return ((top := w[..., 0][()]) <= 0.0) | (w[..., -1][()] <= EPS_PD * top)
 
 
 def _pd_eigh(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, U = _eigh(P)
     if any_true(bad := _below_floor(w)):
-        i = np.argmax(bad)
-        raise NonPositiveSpectrum(
-            f"eigenvalue {np.ravel(w.T[-1])[i]:.3e} at or below relative floor "
-            f"{EPS_PD:.0e} * {np.ravel(w.T[0])[i]:.3e}"
-        )
+        lam = w[np.unravel_index(np.argmax(bad), bad.shape)]   # the first spectrum below it
+        raise NonPositiveSpectrum(f"eigenvalue {lam[-1]:.3e} at or below relative floor "
+                                  f"{EPS_PD:.0e} * {lam[0]:.3e}")
     return w, U
 
 

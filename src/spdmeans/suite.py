@@ -38,7 +38,6 @@ from .linalg import (
     Spd,
     _below_floor,
     _eigh,
-    _exp,
     _hermitize,
     _pd_eigh,
     _power,
@@ -469,10 +468,17 @@ def _validate_p_grid(p_grid) -> tuple[float, ...]:
     return p_grid
 
 
+def _target_eig(A, B, t) -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum exp(w) (descending) and eigenvectors U of the limit exp((1-t)A + tB), by one eigh."""
+    tc = t[:, None, None]
+    w, U = _eigh((1.0 - tc) * A + tc * B)
+    return np.exp(w), U
+
+
 def limit_target(A, B, t) -> np.ndarray:
     """The common limit exp((1-t)A + tB) of both families."""
-    tc = t[:, None, None]
-    return _exp((1.0 - tc) * A + tc * B)
+    lam, U = _target_eig(A, B, t)
+    return from_eig(U, lam)
 
 
 def limit_factors(family: str, A, B, t, p_grid) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -485,8 +491,8 @@ def limit_factors(family: str, A, B, t, p_grid) -> Iterator[tuple[np.ndarray, np
     scaling by a power of two (above LAPACK's rescaling thresholds), so on
     a dyadic grid this is bitwise the exponential of a fresh decomposition
     of pX.  Yields ``(p, F)`` per chunk of grid points whose factors hold
-    at most ``_STACK_ENTRIES`` matrix entries (or one point), the rows
-    p-major and ``p`` the grid point of each row.  NumericBreakdown names
+    at most ``_STACK_ENTRIES`` matrix entries (or one point), ``F`` of
+    shape ``(len(p), k, n, n)``, grid point first.  NumericBreakdown names
     the first p where exp(pA) or exp(pB) leaves the positive-definite floor."""
     tc = t[:, None, None]
     ops = (A, B) if family == "spectral" else ((1.0 - tc) * A / 2.0, tc * B / 2.0)
@@ -495,26 +501,25 @@ def limit_factors(family: str, A, B, t, p_grid) -> Iterator[tuple[np.ndarray, np
     size = max(1, _STACK_ENTRIES // (k * n * n))
     for i in range(0, len(p_grid), size):
         p = np.array(p_grid[i:i + size])
-        rows = np.repeat(p, k)
-        ea, eb = (from_eig(U, np.exp(p[:, None, None] * w)).reshape(-1, n, n) for w, U in eigs)
+        ea, eb = (from_eig(U, np.exp(p[:, None, None] * w)) for w, U in eigs)
         if family == "sandwich":
-            yield rows, eb @ ea
+            yield p, eb @ ea
             continue
         (wa, Ua), (wb, Ub) = _eigh(ea), _eigh(eb)
-        _breakdown(_below_floor(wa) | _below_floor(wb), rows,
+        _breakdown(_below_floor(wa) | _below_floor(wb), p,
                    "exp(pA) or exp(pB) leaves the positive-definite floor")
-        yield rows, _nat_factor(Spd(wa, Ua), Spd(wb, Ub), np.tile(t, len(p)))
+        yield p, _nat_factor(Spd(wa, Ua), Spd(wb, Ub), np.broadcast_to(t, (len(p), k)))
 
 
 def _breakdown(bad, p, what: str, why: str = "the spectra of A and B are too wide for doubles"):
-    """NumericBreakdown naming the first grid point p (one per row) of a ``bad`` row."""
+    """NumericBreakdown naming the first grid point p (leading axis of ``bad``) with a bad pair."""
     if any_true(bad):
-        q = float(p[np.argmax(bad)])
+        q = float(p[np.argmax(bad.any(axis=-1))])
         raise NumericBreakdown(f"{what} at p={q:.6g} (2^{math.log2(q):g}): {why}")
 
 
 def _root(w: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``w ** (1/p)`` with one grid point p per row, the first p where it overflows named."""
+    """``w ** (1/p)``, one p per grid point (leading axis), naming the first p where it overflows."""
     with np.errstate(over="ignore"):
         x = row_power(w, 1.0 / p)
     _breakdown(~np.isfinite(x).all(axis=-1), p, "the 1/p power of a limit family member "
@@ -525,7 +530,7 @@ def _root(w: np.ndarray, p: np.ndarray) -> np.ndarray:
 def limit_members(family: str, A, B, t, p_grid) -> Iterator[tuple[np.ndarray, ...]]:
     """``limit_factors`` with each member F F* raised to its 1/p power:
     the family (exp(pA) nat_t exp(pB))^{1/p} or (exp(ptB/2) exp(p(1-t)A)
-    exp(ptB/2))^{1/p}.  Yields ``(p, F, member)`` per chunk."""
+    exp(ptB/2))^{1/p}.  Yields ``(p, F, member)`` per chunk, grid point first."""
     for p, F in limit_factors(family, A, B, t, p_grid):
         w, U = _eigh(gram(F))
         _breakdown(_below_floor(w), p, "a limit family member leaves the positive-definite floor")
@@ -533,12 +538,9 @@ def limit_members(family: str, A, B, t, p_grid) -> Iterator[tuple[np.ndarray, ..
 
 
 def _trace(A, B, t, p_grid, tol):
-    tc = t[:, None, None]
-    w_mix = _eigh((1.0 - tc) * A + tc * B)[0]
-    target = np.sum(np.exp(w_mix), axis=-1)
-    traces = []
-    for p, F in limit_factors("spectral", A, B, t, p_grid):
-        traces.extend(np.sum(_root(_spectrum_of_factor(F), p), axis=-1).reshape(-1, len(t)))
+    target = np.sum(_target_eig(A, B, t)[0], axis=-1)
+    traces = np.concatenate([np.sum(_root(_spectrum_of_factor(F), p), axis=-1)
+                             for p, F in limit_factors("spectral", A, B, t, p_grid)])
     cols = {
         "t": t,
         "trace_lower_bound": _first_min([(tr - target) / target for tr in traces]),
@@ -560,43 +562,38 @@ def check_trace_corollary(A, B, t: float, p_grid, tol: float = 1e-8) -> CheckOut
 def _limit(family, A, B, t, p_grid, tol, err_threshold, floor, tally):
     """Group evaluator of the small-exponent limit check of the named
     family of ``limit_members``."""
-    n = A.shape[-1]
-    target = limit_target(A, B, t)
-    kf_scale = np.sum(np.exp(np.log(np.linalg.eigvalsh(target)[..., ::-1])), axis=-1)
+    lam, U = _target_eig(A, B, t)
+    target = from_eig(U, lam)
 
-    # the oracle's members are kept only where it runs (n <= 4)
+    # errors (P, k) and log-spectra (P, k, n) over the grid; the oracle's
+    # members are kept only where it runs (n <= 4)
     errs, specs, mats = [], [], []
     for p, F, member in limit_members(family, A, B, t, p_grid):
-        member = member.reshape(-1, *target.shape)
-        errs.extend(_spectral_norm(member - target))
-        specs.extend((np.log(_spectrum_of_factor(F)) / p[:, None]).reshape(-1, len(t), n))
+        errs.append(_spectral_norm(member - target))
+        specs.append(np.log(_spectrum_of_factor(F)) / p[:, None, None])
         if _oracle_runs(tally, A):
             mats.extend(member)
+    errs, specs = np.concatenate(errs), np.concatenate(specs)
     cols = {"t": t, "final_err": errs[-1],
             "final_err_margin": (err_threshold - errs[-1]) / err_threshold}
 
     # error descent, enforced only above the numeric floor
-    desc = np.zeros_like(errs[0])
-    for e0, e1 in zip(errs, errs[1:]):
-        step = (e0 - e1) / pymax(e0, floor)
-        desc = np.where((e0 > floor) & (step < desc), step, desc)
-    cols["err_monotone"] = desc
+    e0, e1 = errs[:-1], errs[1:]
+    cols["err_monotone"] = np.where(e0 > floor, (e0 - e1) / pymax(e0, floor), 0.0).min(0, initial=0.0)
 
     # log-majorization descent between consecutive grid points, plus the
     # induced Ky Fan norm descent (the generating family of unitarily
-    # invariant norms)
+    # invariant norms), scaled by the target's trace
+    partial_sums = np.cumsum(np.exp(specs), axis=-1)
+    kyfan = (partial_sums[:-1] - partial_sums[1:]).min(axis=-1) / np.sum(lam, axis=-1)
     oks = []
     for i in range(len(p_grid) - 1):
         oks.append(_logmaj(cols, f"logmaj_step_{i}", specs[i + 1], specs[i], tol))
-        lam_hi, lam_lo = np.exp(specs[i]), np.exp(specs[i + 1])
-        cols[f"kyfan_step_{i}"] = _first_min([
-            (np.sum(lam_hi[:, : k + 1], axis=-1) - np.sum(lam_lo[:, : k + 1], axis=-1)) / kf_scale
-            for k in range(n)
-        ])
+        cols[f"kyfan_step_{i}"] = kyfan[i]
     _oracle(tally, A, tol, lambda: [(ok, mats[i + 1], mats[i]) for i, ok in enumerate(oks)])
 
     if family == "sandwich":   # bounded above by exp(A) nat_t exp(B)
-        upper = np.log(_spectrum_of_factor(next(limit_factors("spectral", A, B, t, (1.0,)))[1]))
+        upper = np.log(_spectrum_of_factor(next(limit_factors("spectral", A, B, t, (1.0,)))[1][0]))
         for i, spec in enumerate(specs):
             cols[f"upper_bound_{i}"] = _first_min([
                 (np.cumsum(upper, axis=-1) - np.cumsum(spec, axis=-1)).min(axis=-1),

@@ -5,6 +5,7 @@ of a group no longer grows with the grid."""
 
 import collections
 import math
+import re
 import warnings
 
 import numpy as np
@@ -92,33 +93,29 @@ def reference_trace(A, B, t, p_grid, tol):
 
 
 def reference_limit(family, A, B, t, p_grid, tol, err_threshold, floor, tally):
-    n = A.shape[-1]
+    n, tc = A.shape[-1], t[:, None, None]
     target = limit_target(A, B, t)
-    kf_scale = np.array([np.sum(np.exp(np.log(w[::-1]))) for w in np.linalg.eigvalsh(target)])
+    kf_scale = np.sum(np.exp(_eigh((1.0 - tc) * A + tc * B)[0]), axis=-1)   # the target's trace
     errs, specs, mats = [], [], []
     for p in p_grid:
         F, M = member(family, A, B, t, p)
         errs.append(spectral_norm(M - target))
         specs.append(np.log(spectrum_of_factor(F)) / p)
         mats.append(M)
+    errs = np.array(errs)
     cols = {"t": t, "final_err": errs[-1],
             "final_err_margin": (err_threshold - errs[-1]) / err_threshold}
-    desc = np.zeros_like(errs[0])
-    for e0, e1 in zip(errs, errs[1:]):
-        step = (e0 - e1) / pymax(e0, floor)
-        desc = np.where((e0 > floor) & (step < desc), step, desc)
-    cols["err_monotone"] = desc
+    # the smallest error step and Ky Fan step, as array expressions over the grid
+    e0, e1 = errs[:-1], errs[1:]
+    cols["err_monotone"] = np.where(e0 > floor, (e0 - e1) / pymax(e0, floor), 0.0).min(0, initial=0.0)
+    ky_fan = np.cumsum(np.exp(specs), axis=-1)
     for i in range(len(p_grid) - 1):
         ok = _logmaj(cols, f"logmaj_step_{i}", specs[i + 1], specs[i], tol)
         if n <= 4:                       # the compound oracle, link by link
             agree = np.atleast_1d(compound_cross_check(mats[i + 1], mats[i], tol)) == ok
             tally.comparisons += agree.size
             tally.mismatches += int(np.count_nonzero(~agree))
-        lam_hi, lam_lo = np.exp(specs[i]), np.exp(specs[i + 1])
-        cols[f"kyfan_step_{i}"] = _first_min([
-            (np.sum(lam_hi[:, : k + 1], axis=-1) - np.sum(lam_lo[:, : k + 1], axis=-1)) / kf_scale
-            for k in range(n)
-        ])
+        cols[f"kyfan_step_{i}"] = (ky_fan[i] - ky_fan[i + 1]).min(axis=-1) / kf_scale
     if family == "sandwich":
         upper = np.log(spectrum_of_factor(spectral_factor(A, B, t, 1.0)))
         for i, spec in enumerate(specs):
@@ -223,3 +220,50 @@ def test_overflowing_1_over_p_power_names_its_p(check):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericBreakdown, match=r"overflows at p=\S+ \(2\^-(59|60)\)"):
             check(A, B, 0.3, dyadic_grid(60))
+
+
+# Group evaluators on chunks of several pairs and grid points: at k = 3 and
+# n = 3 a chunk holds the grid points 2^0 .. 2^-150.
+EVALUATORS = {
+    "trace": lambda A, B, t, grid: _trace(A, B, t, grid, 1e-8),
+    **{family: (lambda A, B, t, grid, f=family: _limit(f, A, B, t, grid, 1e-8, 1e-2, 1e-8, None))
+       for family in ("spectral", "sandwich")},
+}
+
+
+def named_exponent(evaluate, A, B, t, grid, what: str) -> int:
+    """The exponent m of the grid point 2^-m named by the breakdown of
+    ``evaluate``, in which only the last pair breaks down: it names the
+    same point when evaluated alone, and the other pairs evaluate."""
+    evaluate(A[:-1], B[:-1], t[:-1], grid)
+    named = []
+    for X, Y, u in ((A, B, t), (A[-1:], B[-1:], t[-1:])):
+        with pytest.raises(NumericBreakdown, match=what) as exc:
+            evaluate(X, Y, u, grid)
+        named.append(-int(re.search(r"\(2\^(-?\d+)\)", str(exc.value)).group(1)))
+    assert named[0] == named[1]
+    return named[0]
+
+
+@pytest.mark.parametrize("name", ["trace", "spectral"])
+def test_floor_breakdown_of_a_later_pair_names_the_first_grid_point(name):
+    A, B, t = hermitian_pairs(3, 3, seed=5)
+    A[2] = np.diag([30.0, 0.0, -30.0])   # exp(pA) has condition number e^(60 p)
+    evaluate, grid, what = EVALUATORS[name], dyadic_grid(3), "positive-definite floor"
+    assert named_exponent(evaluate, A, B, t, grid, what) == 0      # beyond 1e12 at p = 1, 1/2
+    assert named_exponent(evaluate, A, B, t, grid[1:], what) == 1
+    evaluate(A, B, t, grid[2:])
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_overflow_of_a_later_pair_names_the_first_grid_point(name):
+    # the zero pairs' members are exactly the identity, whose 1/p power never overflows
+    zero = np.zeros((3, 3))
+    A = np.stack([zero, zero, sample_pd(3, 1, 10.0)])
+    B = np.stack([zero, zero, sample_pd(3, 2, 10.0)])
+    t, evaluate = np.array([0.3, 0.5, 0.3]), EVALUATORS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        m = named_exponent(evaluate, A, B, t, dyadic_grid(60), "overflows")
+        evaluate(A, B, t, dyadic_grid(m - 1))          # the grid points before it evaluate
+    assert 50 < m <= 60

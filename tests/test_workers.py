@@ -9,6 +9,7 @@ import pickle
 import stat
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -183,6 +184,29 @@ def test_a_worker_that_dies_without_a_result_is_an_error(monkeypatch):
     patch_registry(monkeypatch, {1: lambda *inputs, **options: os._exit(3)})   # check 1: the child
     with pytest.raises(ChildProcessError, match="ended without a result"):
         registry_rows(2)
+    assert_no_children()
+
+
+@fork_only
+def test_a_raising_caller_kills_the_workers_it_has_not_read(monkeypatch):
+    """With three workers, worker 1 ends without a result while worker 2
+    still runs: the caller raises on reading worker 1's pipe, then closes
+    worker 2's and kills it rather than waiting out its run."""
+    share = suite._share
+
+    def share_or_stall(cfg, indices):
+        first = indices[0]                  # 0 in the caller, w in worker w
+        if first == 1:
+            os._exit(0)
+        if first == 2:
+            time.sleep(60)
+        return share(cfg, indices)
+
+    monkeypatch.setattr(suite, "_share", share_or_stall)
+    start = time.monotonic()
+    with pytest.raises(ChildProcessError, match="ended without a result"):
+        registry_rows(3)
+    assert time.monotonic() - start < 20
     assert_no_children()
 
 
