@@ -7,11 +7,11 @@ else in the package is built on top of these routines.
 Every routine takes a matrix or a stack ``(..., n, n)`` and works matrix
 by matrix; a single matrix is a batch of one, and stacked results are
 bitwise equal to matrix-by-matrix calls.  All functions are pure.  Matrix
-function results are re-Hermitized as (X + X*)/2 so that downstream
-invariant checks are not tripped by accumulation drift.  Exported
-functions validate their input by the ``require_*`` rules and refuse an
-overflowing result; the underscore kernels behind them, which the battery
-calls on its own intermediates, keep only the positive-definite floor.
+function results are re-Hermitized as (X + X*)/2 against roundoff drift.
+Exported functions validate their input by the ``require_*`` rules, the
+Hermitian rule returning the Hermitian part, and refuse an overflowing
+result.  The underscore kernels behind them take exactly Hermitian input
+(the battery's intermediates are) and keep only the positive-definite floor.
 """
 
 from __future__ import annotations
@@ -133,26 +133,27 @@ def require_real(v, name: str, lo: float = -math.inf, hi: float = math.inf,
     raise ValueError(f"{name} must {where}, got {v!r}")
 
 
-def _hermitian_mask(X: np.ndarray, tol: float) -> np.ndarray:
-    """Finite entries and symmetry of each matrix of a square stack, as a numpy bool (array)."""
+def _hermitian_mask(X: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Finite entries and symmetry of each matrix of a square stack, as a numpy bool (array),
+    and the conjugate transpose X* it compares X with (non-finite matrices zeroed)."""
     finite = (scale := max_abs(X)) < np.inf   # false for an inf or NaN entry, zeroed before X - X*
     X = np.where(finite[..., None, None], X, 0) if any_true(~finite) else X
-    return finite & (max_abs(X - ct(X)) <= tol * (1.0 + scale))
+    return finite & (max_abs(X - (C := ct(X))) <= tol * (1.0 + scale)), C
 
 
 def is_hermitian(X, tol: float = ETA_HERM):
     """Finite entries and symmetry, per matrix: a bool for one matrix, a bool array for a stack."""
     X, tol = np.asarray(X), require_real(tol, "tol", 0.0)
-    return False if _matrix_defect(X) else unbatch(_hermitian_mask(X, tol))
+    return False if _matrix_defect(X) else unbatch(_hermitian_mask(X, tol)[0])
 
 
 def require_hermitian(X, tol: float = ETA_HERM) -> np.ndarray:
-    """Validate the Hermitian invariant (``is_hermitian``) and return X as an ndarray."""
-    X = require_matrix(X)
-    if any_true(~_hermitian_mask(X, tol)):
+    """Validate the Hermitian invariant (``is_hermitian``); return the Hermitian part (X + X*)/2."""
+    ok, C = _hermitian_mask(X := require_matrix(X), tol)
+    if any_true(~ok):
         require_finite(X, "matrix")
-        raise NonHermitianInput(f"symmetry defect {max_abs(X - ct(X)).max():.3e} exceeds tolerance")
-    return X
+        raise NonHermitianInput(f"symmetry defect {max_abs(X - C).max():.3e} exceeds tolerance")
+    return (X + C) / 2
 
 
 def is_unitary(U: np.ndarray, tol: float = ETA_UNIT):
@@ -181,7 +182,7 @@ def row_power(w: np.ndarray, e) -> np.ndarray:
 
 def _eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
-        w, U = np.linalg.eigh(_hermitize(H))
+        w, U = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigFailure(str(exc)) from exc
     return w[..., ::-1].copy(), U[..., ::-1].copy()

@@ -113,10 +113,10 @@ def log_majorizes(y, x, tol: float = TAU_MAJ) -> MajorizationReport:
 def _nonneg_spectrum(X: np.ndarray) -> np.ndarray:
     n = X.shape[-1]
     flat = X.reshape(-1, n, n)
-    herm = _hermitian_mask(flat, ETA_HERM)
+    herm, C = _hermitian_mask(flat, ETA_HERM)
     out = np.empty(flat.shape[:-1])
-    if np.any(herm):
-        out[herm] = _eigh(flat[herm])[0]
+    if np.any(herm):           # Hermitian within ETA_HERM: their Hermitian parts go to eigh
+        out[herm] = _eigh((flat[herm] + C[herm]) / 2)[0]
     if not np.all(herm):
         try:
             w = np.linalg.eigvals(flat[~herm])

@@ -265,10 +265,9 @@ def _equality(X, Y) -> np.ndarray:
 
 
 def _psd_margin(X, Y) -> np.ndarray:
-    """How far X >= Y holds in the Loewner order, per matrix:
-    lambda_min(X - Y) / lambda_1(X)."""
-    top = np.linalg.eigvalsh(_hermitize(X))[..., -1]
-    return np.linalg.eigvalsh(_hermitize(X - Y))[..., 0] / pymax(top, 1e-30)
+    """How far X >= Y holds in the Loewner order, per matrix: lambda_min(X - Y) / lambda_1(X)."""
+    top = np.linalg.eigvalsh(X)[..., -1]
+    return np.linalg.eigvalsh(X - Y)[..., 0] / pymax(top, 1e-30)
 
 
 def _first_min(values, default=None):

@@ -6,6 +6,8 @@ infinite value by name, and takes a numpy number wherever it takes the
 Python number of the same value.  The verification battery's group
 evaluators call none of the validating public functions: they take the
 battery's own draws as given and call the kernels behind those functions.
+A matrix that enters is replaced by its Hermitian part once, at the
+boundary, and the kernels decompose only exactly Hermitian matrices.
 """
 
 import dataclasses
@@ -234,3 +236,80 @@ def test_matrix_file_n_takes_the_integer_rule(n):
 def test_matrix_to_dict_takes_the_matrix_rules(M, error, message):
     with pytest.raises(error, match=message):
         matrixio.matrix_to_dict(M)
+
+
+def _skewed(M: np.ndarray) -> np.ndarray:
+    """M with a symmetry defect of 1e-13, within ETA_HERM: one entry above the diagonal moved."""
+    M = np.array(M, dtype=complex if np.iscomplexobj(M) else float)
+    M[..., 0, -1] += 1e-13
+    return M
+
+
+# the public functions that decompose a caller's matrix, on a pair of operands
+DECOMPOSING = {
+    "hermitian_eig": lambda A, B: linalg.hermitian_eig(A),
+    "pd_eig": lambda A, B: linalg.pd_eig(A),
+    "mat_power": lambda A, B: linalg.mat_power(A, 0.3),
+    "mat_exp": lambda A, B: linalg.mat_exp(A),
+    "mat_log": lambda A, B: linalg.mat_log(A),
+    "mat_sqrt_pair": lambda A, B: linalg.mat_sqrt_pair(A),
+    **{name: lambda A, B, fn=getattr(means, name): fn(A, B, 0.3) for name in (
+        "metric_mean", "metric_mean_factor", "spectral_mean", "spectral_mean_factor",
+        "g_factor", "similarity_witness")},
+}
+PAIRS = {"complex": (A3, B3),
+         "real-stack": tuple(np.stack([spdmeans.sample_pd(4, s, 1e3).real + 4 * np.eye(4)
+                                       for s in (seed, seed + 1)]) for seed in (3, 5))}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pair", PAIRS)
+@pytest.mark.parametrize("name", DECOMPOSING)
+def test_decomposing_functions_take_the_hermitian_part_of_their_input(name, pair):
+    A, B = (_skewed(M) for M in PAIRS[pair])
+    for M in (A, B):
+        assert np.all(spdmeans.is_hermitian(M)) and not np.array_equal(M, linalg.ct(M))
+    got = DECOMPOSING[name](A, B)
+    assert pickle.dumps(got) == pickle.dumps(DECOMPOSING[name](spdmeans.hermitize(A),
+                                                               spdmeans.hermitize(B)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("check", [c for c in suite._REGISTRY if c.evaluate is not None],
+                         ids=lambda c: c.check_id)
+def test_public_checks_compare_against_the_hermitian_part_of_their_input(check):
+    """A public check given matrices that are Hermitian within ETA_HERM
+    returns, detail and oracle tally included, exactly its result on their
+    Hermitian parts."""
+    for inputs in check.fixed:
+        results = []
+        for prepare in (_skewed, lambda M: spdmeans.hermitize(_skewed(M))):
+            tally = OracleTally()
+            args = [prepare(v) if isinstance(v, np.ndarray) else v for v in inputs]
+            results.append(pickle.dumps((check.public(*args, **check.options(SuiteConfig(), tally)),
+                                         tally)))
+        assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("cfg", [SuiteConfig(trials=4, limit_trials=2),
+                                 SuiteConfig(dims=(40, 41), trials=2, limit_trials=1)],
+                         ids=["default-dims", "large-n"])
+def test_battery_decomposes_only_exactly_hermitian_matrices(cfg, monkeypatch):
+    """``_eigh`` hands its input to ``numpy.linalg.eigh`` as it is, and
+    ``_psd_margin`` to ``eigvalsh``: every matrix the battery gives either
+    must equal its conjugate transpose by value (a product must leave
+    ``from_eig``, ``gram`` or ``_hermitize`` first).  The run is serial, so
+    every call is made in this process."""
+    calls = {"eigh": 0, "_psd_margin": 0}
+
+    def exact(name, fn):
+        def wrapped(*Xs):
+            for X in Xs:
+                assert np.array_equal(X, linalg.ct(X)), name
+            calls[name] += 1
+            return fn(*Xs)
+        return wrapped
+    monkeypatch.setattr(np.linalg, "eigh", exact("eigh", np.linalg.eigh))
+    monkeypatch.setattr(suite, "_psd_margin", exact("_psd_margin", suite._psd_margin))
+    assert suite._registry_rows(cfg, 1, OracleTally())
+    assert all(calls.values()), calls

@@ -257,7 +257,8 @@ def _validation_cases() -> dict[str, tuple[np.ndarray, str | None]]:
              "off-diagonal-inf": ((0, 2), np.inf, finite),
              "diagonal-inf": ((2, 2), np.inf, finite),
              "beyond-tol": ((0, 1), good[0, 1] + 1e-6, symmetry),
-             "within-tol": ((0, 1), good[0, 1] + 1e-12, None)}
+             "within-tol": ((0, 1), good[0, 1] + 1e-12, None),
+             "defect-1e-13": ((1, 2), good[1, 2] + 1e-13, None)}
     cases = {}
     for name, (entry, value, message) in edits.items():
         cases[name] = good.copy(), message
@@ -270,14 +271,17 @@ def test_hermitian_validation_per_matrix_of_a_stack():
     """``is_hermitian`` is one predicate per matrix: finite entries (an inf
     whose transposed entry is finite would pass the defect test alone, as
     inf - 1 <= inf) and a symmetry defect within tol; ``require_hermitian``
-    names which of the two failed."""
+    names which of the two failed, and returns the Hermitian part of a
+    matrix it accepts: M itself when M is exactly Hermitian."""
     cases = _validation_cases()
     stack = np.stack([M for M, _ in cases.values()])
     assert is_hermitian(stack).tolist() == [message is None for _, message in cases.values()]
     for name, (M, message) in cases.items():
         assert is_hermitian(M) is (message is None), name
         if message is None:
-            assert require_hermitian(M) is M
+            got = require_hermitian(M)
+            assert got.tobytes() == hermitize(M).tobytes()
+            assert (got.tobytes() == M.tobytes()) is (name == "good"), name
             continue
         for X in (M, np.stack([cases["good"][0], M])):
             with pytest.raises(NonHermitianInput, match=message):

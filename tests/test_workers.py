@@ -210,6 +210,27 @@ def test_a_raising_caller_kills_the_workers_it_has_not_read(monkeypatch):
     assert_no_children()
 
 
+@fork_only
+def test_the_calling_process_runs_the_same_checks_on_every_call(monkeypatch):
+    """Worker 0 is the calling process, and which checks it runs follows
+    from the worker count alone: an in-process tracer or profiler sees the
+    same share of the battery, and so the same call counts, on every run."""
+    ran = []
+    check_rows = suite._check_rows
+
+    def recording(cfg, idx):                # in a child the record stays in the child
+        ran[-1].append(idx)
+        return check_rows(cfg, idx)
+
+    monkeypatch.setattr(suite, "_check_rows", recording)
+    for _ in range(2):
+        ran.append([])
+        registry_rows(2)
+    assert ran[0] == ran[1]
+    assert 0 < len(ran[0]) < len(_REGISTRY)
+    assert_no_children()
+
+
 def test_run_suite_leaves_no_child_behind(monkeypatch):
     cfg = SuiteConfig(trials=2, limit_trials=1)
     run_suite(cfg)
