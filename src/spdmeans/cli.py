@@ -16,6 +16,7 @@ can be overridden with the SPDMEANS_OUT_DIR environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -53,7 +54,7 @@ def _resolve(path: str) -> str:
 
 def _print_matrix(label: str, M: np.ndarray) -> None:
     print(f"{label}:")
-    for row in np.asarray(M):
+    for row in np.atleast_2d(M):
         print("  " + "  ".join(f"{v: .6f}" for v in row.real))
 
 
@@ -67,11 +68,12 @@ def _cmd_mean(args) -> int:
     return 0
 
 
-def _grid(text: str) -> tuple[float, ...]:
+def _grid(text: str, kind=float) -> tuple:
+    """A comma-separated flag value as a tuple of ``kind``; argparse's error if one is not."""
     try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"bad grid {text!r}: {exc}") from exc
+        return tuple(map(kind, text.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of {kind.__name__}s: {text!r}")
 
 
 def _config_from_args(args) -> SuiteConfig:
@@ -87,17 +89,9 @@ def _config_from_args(args) -> SuiteConfig:
             raise ValueError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object of SuiteConfig fields")
-    data.update({name: getattr(args, name)
-                 for name in ("seed", "trials", "limit_trials", "p_min_exp", "spread", "tol")
-                 if getattr(args, name) is not None})
-    if args.dims is not None:
-        data["dims"] = tuple(int(v) for v in args.dims.split(","))
-    for flag in ("t", "r", "s"):
-        if getattr(args, flag) is not None:
-            data[f"{flag}_grid"] = _grid(getattr(args, flag))
-    if args.force_out_of_range:
-        data["force_out_of_range"] = True
-    return SuiteConfig.from_dict(data)
+    flags = {field.name: v for field in dataclasses.fields(SuiteConfig)
+             if (v := getattr(args, field.name, None)) is not None}
+    return SuiteConfig.from_dict({**data, **flags})
 
 
 def _cmd_verify(args) -> int:
@@ -140,31 +134,26 @@ def _cmd_limit(args) -> int:
     return 0
 
 
+# Each fixture's command-line name, its check and its inputs and printed references.
+_FIXTURES = {"remark37": (check_natlog_counterexample, NATLOG_COUNTEREXAMPLE),
+             "loewner": (check_spectral_not_monotone, MONOTONE_COUNTEREXAMPLE)}
+
+
 def _cmd_counterexample(args) -> int:
-    out = check_natlog_counterexample() if args.name == "remark37" else check_spectral_not_monotone()
+    check, ce = _FIXTURES[args.name]
+    out = check()
     scalars = {key: v for key, v in out.witness.items() if np.ndim(v) == 0}
     print("inputs (" + ", ".join(f"{key}={v:.6g}" for key, v in scalars.items()) + "):")
     for key, M in out.witness.items():
         if key not in scalars:
             _print_matrix(key, M)
-    if args.name == "remark37":
-        ce = NATLOG_COUNTEREXAMPLE
-        _print_matrix("reference sandwich power", ce["printed_sandwich"])
-        _print_matrix("reference spectral mean", ce["printed_mean"])
-        print(f"reference spectra: sandwich {ce['printed_sandwich_spectrum']}, "
-              f"mean {ce['printed_mean_spectrum']}")
-        verdict = "log-majorization verdict"
-    else:
-        ce = MONOTONE_COUNTEREXAMPLE
-        _print_matrix("reference mean with B1", ce["printed_mean_b1"])
-        _print_matrix("reference mean with B2", ce["printed_mean_b2"])
-        print(f"reference eigenvalues of the difference: {ce['printed_diff_eigs']}")
-        verdict = f"B1 >= B2 margin: {out.detail['b1_ge_b2']:.3e}\nPSD verdict for the difference"
-    print("computed deltas:")
-    for key, label, tol, _ in REPRODUCTION[out.check_id]:
+    for key, label, tol, ref in REPRODUCTION[out.check_id]:
+        _print_matrix(f"reference {label}", ce[ref])
         value = out.detail[key]
         print(f"  {label}: {value:.3e} (tolerance {tol:g}) {'ok' if value <= tol else 'FAIL'}")
-    print(f"{verdict}: {out.verdict} (expected False), worst margin {out.worst_margin:.3e}")
+    if "b1_ge_b2" in out.detail:
+        print(f"B1 >= B2 margin: {out.detail['b1_ge_b2']:.3e}")
+    print(f"verdict: {out.verdict} (expected False), worst margin {out.worst_margin:.3e}")
     ok = not is_failure(out)
     print("reproduction " + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
@@ -198,14 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--limit-trials", type=int, dest="limit_trials")
-    p.add_argument("--dims", help="dimension range, e.g. 2,6")
-    p.add_argument("--t", help="comma-separated weight grid")
-    p.add_argument("--r", help="comma-separated power grid")
-    p.add_argument("--s", help="comma-separated sandwich exponent grid")
+    p.add_argument("--dims", type=lambda text: _grid(text, int), help="dimension range, e.g. 2,6")
+    p.add_argument("--t", type=_grid, dest="t_grid", help="comma-separated weight grid")
+    p.add_argument("--r", type=_grid, dest="r_grid", help="comma-separated power grid")
+    p.add_argument("--s", type=_grid, dest="s_grid", help="comma-separated sandwich exponent grid")
     p.add_argument("--p-min-exp", type=int, dest="p_min_exp")
     p.add_argument("--spread", type=float)
     p.add_argument("--tol", type=float)
-    p.add_argument("--force-out-of-range", action="store_true",
+    p.add_argument("--force-out-of-range", action="store_const", const=True,
                    help="add the s grid values beyond the provable bound 1/max(t, 1-t) "
                         "as informational rows, and admit s > 2")
     p.add_argument("--out", help="report path prefix (writes <out>.csv and <out>.json)")
@@ -222,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_limit)
 
     p = sub.add_parser("counterexample", help="reproduce an embedded counterexample")
-    p.add_argument("name", choices=("remark37", "loewner"))
+    p.add_argument("name", choices=_FIXTURES)
     p.set_defaults(fn=_cmd_counterexample)
 
     p = sub.add_parser("sample", help="write a seeded random SPD matrix file")

@@ -30,6 +30,8 @@ ETA_HERM = 1e-10     # Hermitian symmetry defect
 ETA_UNIT = 1e-10     # unitarity defect
 TAU_RECON = 1e-10    # eigendecomposition reconstruction residual
 EPS_PD = 1e-12       # relative positivity floor: lambda_min > EPS_PD * lambda_max
+# Half of each LAPACK precision's largest value: (X + X*)/2 can overflow only beyond it.
+_HALF_MAX = {t: np.finfo(t).max / 2 for t in (np.float32, np.float64, np.complex64, np.complex128)}
 
 
 def ct(X: np.ndarray) -> np.ndarray:
@@ -39,12 +41,12 @@ def ct(X: np.ndarray) -> np.ndarray:
 
 def _hermitize(X: np.ndarray) -> np.ndarray:
     S = X + ct(X)
-    return np.divide(S, 2, out=S) if S.dtype.kind in "fc" else S / 2
+    return np.divide(S, 2, out=S)
 
 
 def hermitize(X) -> np.ndarray:
     """Return (X + X*)/2 of a square matrix or stack with finite entries."""
-    return _hermitize(require_matrix(X, finite=True))
+    return _hermitian_part(X := require_matrix(X, finite=True), ct(X), max_abs(X))
 
 
 def max_abs(X: np.ndarray) -> np.ndarray:
@@ -75,7 +77,7 @@ def _matrix_defect(X: np.ndarray, square: bool = True) -> str:
     if X.ndim < 2 or 0 in X.shape[-2:] or square and X.shape[-1] != X.shape[-2]:
         shape = "square with n >= 1" if square else "a matrix with a row and a column"
         return f"must be {shape}, got shape {X.shape}"
-    if X.dtype.kind in "iu" or X.dtype.type in (np.float32, np.float64, np.complex64, np.complex128):
+    if X.dtype.kind in "iu" or X.dtype.type in _HALF_MAX:
         return ""
     kind = "float32/64 or complex64/128" if X.dtype.kind in "fc" else "numeric"
     return f"must be {kind}, got dtype {X.dtype}"
@@ -92,6 +94,7 @@ def require_matrix(X, name: str = "matrix", square: bool = True, finite: bool = 
     X = np.asarray(X)
     if defect := _matrix_defect(X, square):
         raise NonHermitianInput(f"{name} {defect}")
+    X = X.astype(float) if X.dtype.kind in "iu" else X   # integer sums would wrap
     return require_finite(X, name) if finite else X
 
 
@@ -133,27 +136,35 @@ def require_real(v, name: str, lo: float = -math.inf, hi: float = math.inf,
     raise ValueError(f"{name} must {where}, got {v!r}")
 
 
-def _hermitian_mask(X: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Finite entries and symmetry of each matrix of a square stack, as a numpy bool (array),
-    and the conjugate transpose X* it compares X with (non-finite matrices zeroed)."""
+def _hermitian_mask(X: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Finite entries and symmetry of each matrix of a square stack (a numpy bool or bool array),
+    the X* it compares X with (non-finite matrices zeroed) and each matrix's largest modulus."""
     finite = (scale := max_abs(X)) < np.inf   # false for an inf or NaN entry, zeroed before X - X*
     X = np.where(finite[..., None, None], X, 0) if any_true(~finite) else X
-    return finite & (max_abs(X - (C := ct(X))) <= tol * (1.0 + scale)), C
+    return finite & (max_abs(X - (C := ct(X))) <= tol * (1.0 + scale)), C, scale
+
+
+def _hermitian_part(X: np.ndarray, C: np.ndarray, scale) -> np.ndarray:
+    """(X + C)/2 for C = X* and ``scale`` X's largest moduli; NonFiniteInput if it overflows."""
+    if not any_true(scale > _HALF_MAX[X.dtype.type]):
+        return (X + C) / 2
+    with np.errstate(over="ignore", invalid="ignore"):   # complex inf / 2 is invalid
+        return require_finite((X + C) / 2, "Hermitian part (X + X*)/2")
 
 
 def is_hermitian(X, tol: float = ETA_HERM):
     """Finite entries and symmetry, per matrix: a bool for one matrix, a bool array for a stack."""
     X, tol = np.asarray(X), require_real(tol, "tol", 0.0)
-    return False if _matrix_defect(X) else unbatch(_hermitian_mask(X, tol)[0])
+    return False if _matrix_defect(X) else unbatch(_hermitian_mask(require_matrix(X), tol)[0])
 
 
 def require_hermitian(X, tol: float = ETA_HERM) -> np.ndarray:
     """Validate the Hermitian invariant (``is_hermitian``); return the Hermitian part (X + X*)/2."""
-    ok, C = _hermitian_mask(X := require_matrix(X), tol)
+    ok, C, scale = _hermitian_mask(X := require_matrix(X), tol)
     if any_true(~ok):
         require_finite(X, "matrix")
         raise NonHermitianInput(f"symmetry defect {max_abs(X - C).max():.3e} exceeds tolerance")
-    return (X + C) / 2
+    return _hermitian_part(X, C, scale)
 
 
 def is_unitary(U: np.ndarray, tol: float = ETA_UNIT):
@@ -333,9 +344,8 @@ def spectrum_of_factor(F) -> np.ndarray:
 
 
 def _compound(M: np.ndarray, k: int) -> np.ndarray:
-    M = M.astype(M.dtype if M.dtype.kind in "fc" else float, copy=k == 1)   # det's dtype
     if k == 1:
-        return M
+        return M.copy()
     subs = np.array(list(combinations(range(M.shape[-1]), k)))
     S = M[..., subs[:, None, :, None], subs[None, :, None, :]]
     return S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0] if k == 2 else np.linalg.det(S)

@@ -23,8 +23,9 @@ from .errors import (
     NonrealSpectrum,
     NumericBreakdown,
 )
-from .linalg import (ETA_HERM, _compound, _eigh, _hermitian_mask, pymax, require_finite,
-                     require_integer, require_matrix, require_real, require_same_shape, unbatch)
+from .linalg import (ETA_HERM, _compound, _eigh, _hermitian_mask, _hermitian_part, pymax,
+                     require_finite, require_integer, require_matrix, require_real,
+                     require_same_shape, unbatch)
 
 TAU_MAJ = 1e-9         # default slack: absolute on sums, log-space absolute
 LOG_FLOOR = 1e-300     # entries below this are rejected before taking logs
@@ -113,10 +114,10 @@ def log_majorizes(y, x, tol: float = TAU_MAJ) -> MajorizationReport:
 def _nonneg_spectrum(X: np.ndarray) -> np.ndarray:
     n = X.shape[-1]
     flat = X.reshape(-1, n, n)
-    herm, C = _hermitian_mask(flat, ETA_HERM)
+    herm, C, scale = _hermitian_mask(flat, ETA_HERM)
     out = np.empty(flat.shape[:-1])
     if np.any(herm):           # Hermitian within ETA_HERM: their Hermitian parts go to eigh
-        out[herm] = _eigh((flat[herm] + C[herm]) / 2)[0]
+        out[herm] = _eigh(_hermitian_part(flat[herm], C[herm], scale[herm]))[0]
     if not np.all(herm):
         try:
             w = np.linalg.eigvals(flat[~herm])

@@ -272,16 +272,32 @@ class TestVerifyCommand:
 
     def test_flags_override_config_file_fields(self, tmp_path, capsys):
         # the file's fields, each given flag on top; the others keep the file's value
+        data = {"trials": 3, "limit_trials": 1, "dims": [2, 3], "seed": 4, "t_grid": [0.25],
+                "r_grid": [2.0], "s_grid": [1.0], "p_min_exp": 8, "spread": 10.0, "tol": 1e-7,
+                "psd_tol": 1e-8, "force_out_of_range": False}
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"trials": 3, "limit_trials": 1, "dims": [2, 3]}))
+        cfg_path.write_text(json.dumps(data))
         json_path = tmp_path / "x.json"
-        code = cli.main(["verify", "--config", str(cfg_path), "--trials", "7", "--seed", "9",
-                         "--t", "0.5", "--out-csv", str(tmp_path / "x.csv"),
+        code = cli.main(["verify", "--config", str(cfg_path), "--trials", "2", "--seed", "9",
+                         "--dims", "2,4", "--t", "0.5,0.75", "--r", "0.3", "--s", "0.5,2.5",
+                         "--force-out-of-range", "--out-csv", str(tmp_path / "x.csv"),
                          "--out-json", str(json_path)])
         assert code == 0
-        config = json.loads(json_path.read_text())["config"]
-        assert (config["trials"], config["seed"], config["t_grid"]) == (7, 9, [0.5])
-        assert (config["limit_trials"], config["dims"]) == (1, [2, 3])
+        flags = {"trials": 2, "seed": 9, "dims": [2, 4], "t_grid": [0.5, 0.75], "r_grid": [0.3],
+                 "s_grid": [0.5, 2.5], "force_out_of_range": True}
+        assert json.loads(json_path.read_text())["config"] == {
+            **SuiteConfig().to_dict(), **data, **flags}
+
+    @pytest.mark.parametrize("flag, value", [("--dims", "2,x"), ("--t", "0.5,x")])
+    def test_malformed_list_flag_exits_2_without_report(self, tmp_path, capsys, flag, value):
+        # argparse refuses it, as it refuses --seed x: usage line, exit 2, no report
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", flag, value, "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: spdmeans verify")
+        assert f"argument {flag}: not a comma-separated list of " in err
+        assert not list(tmp_path.iterdir())
 
     def test_config_file_must_be_an_object(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -490,6 +506,22 @@ class TestCounterexampleCommand:
         out = capsys.readouterr().out
         assert "entries (mean): 1.000e+00 (tolerance 0.001) FAIL" in out
         assert out.endswith("reproduction FAIL\n")
+
+    @pytest.mark.parametrize("name, check_id", [("remark37", "counterexample_natlog"),
+                                                ("loewner", "counterexample_monotone")])
+    def test_prints_each_reproduction_row(self, capsys, monkeypatch, name, check_id):
+        """Each REPRODUCTION row's label heads one reference (the printed
+        values it names) and one delta line: both come from the table."""
+        assert cli.main(["counterexample", name]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for _, label, _, _ in REPRODUCTION[check_id]:
+            assert lines.count(f"reference {label}:") == 1
+            assert sum(line.startswith(f"  {label}: ") for line in lines) == 1
+        (key, label, tol, ref), *rest = REPRODUCTION[check_id]
+        monkeypatch.setitem(REPRODUCTION, check_id, ((key, "RELABELLED", tol, ref), *rest))
+        assert cli.main(["counterexample", name]) == 0
+        out = capsys.readouterr().out
+        assert "reference RELABELLED:\n" in out and f"reference {label}:" not in out
 
     def test_unknown_name_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from spdmeans import (
+    check_chain,
     check_means_identities,
     compound,
     compound_cross_check,
@@ -26,8 +27,10 @@ from spdmeans import (
     spectrum_of_factor,
 )
 from spdmeans.errors import (BadOrder, NonFiniteInput, NonHermitianInput, NonPositiveSpectrum,
-                             NumericBreakdown)
-from spdmeans.linalg import ETA_UNIT, TAU_RECON, power_from_eig, require_hermitian, spd
+                             NumericBreakdown, SpdMeansError)
+from spdmeans.linalg import (ETA_UNIT, TAU_RECON, mat_sqrt_pair, pd_eig, power_from_eig,
+                             require_hermitian, spd)
+from spdmeans.majorization import nonneg_spectrum
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -346,6 +349,96 @@ def test_public_matrix_functions_refuse_an_overflowing_result(call, name):
     inf or NaN entries."""
     with pytest.raises(NumericBreakdown, match=f"^{name} result entries must be finite$"):
         call()
+
+
+# Every public entry that forms the Hermitian part of a caller's matrix.
+HERMITIAN_PART = {
+    "hermitian_eig": hermitian_eig,
+    "pd_eig": pd_eig,
+    "mat_power": lambda X: mat_power(X, 0.5),
+    "mat_exp": mat_exp,
+    "mat_log": mat_log,
+    "mat_sqrt_pair": mat_sqrt_pair,
+    "metric_mean-A": lambda X: metric_mean(X, np.eye(len(X)), 0.5),
+    "metric_mean-B": lambda X: metric_mean(np.eye(len(X)), X, 0.5),
+    "spectral_mean-A": lambda X: spectral_mean(X, np.eye(len(X)), 0.5),
+    "spectral_mean-B": lambda X: spectral_mean(np.eye(len(X)), X, 0.5),
+    "hermitize": hermitize,
+    "nonneg_spectrum": nonneg_spectrum,
+    "check_chain": lambda X: check_chain(X, np.eye(len(X)), 0.5),
+}
+OVERFLOWING = {
+    "float64": np.diag([1.7e308, 1.0]),
+    "complex128": np.diag([1.7e308, 1.0]).astype(complex),
+    "float32": np.diag([3e38, 1.0]).astype(np.float32),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("X", OVERFLOWING.values(), ids=OVERFLOWING)
+@pytest.mark.parametrize("fn", HERMITIAN_PART.values(), ids=HERMITIAN_PART)
+def test_an_overflowing_hermitian_part_is_refused_by_name(fn, X):
+    """Finite entries above half the dtype's largest value make (X + X*)/2
+    overflow: the package refuses it by name, with no numpy warning,
+    instead of decomposing inf (a NaN spectrum, or numpy's LinAlgError)."""
+    assert is_hermitian(X) is True
+    with pytest.raises(NonFiniteInput,
+                       match=r"^Hermitian part \(X \+ X\*\)/2 entries must be finite$"):
+        fn(X)
+
+
+@pytest.mark.filterwarnings("error")
+def test_entries_up_to_half_the_largest_double_are_accepted():
+    X = np.diag([8e307, 1.0])
+    assert hermitize(X).tobytes() == require_hermitian(X).tobytes() == X.tobytes()
+    np.testing.assert_allclose(hermitian_eig(X)[0], [8e307, 1.0], rtol=1e-15)
+
+
+def _integer_pd(seed: int, bits: int) -> np.ndarray:
+    """A diagonally dominant symmetric int64 matrix with entries below 2**bits."""
+    rng = np.random.default_rng(seed)
+    off = np.triu(rng.integers(-2 ** (bits - 3), 2 ** (bits - 3), (4, 4)), 1)
+    return off + off.T + np.diag(rng.integers(2 ** (bits - 1), 2 ** bits, 4))
+
+
+def _outcome(fn, X):
+    """fn(X) as bytes (of each array it returns, or a check's margin), or the package error it raises."""
+    try:
+        out = fn(X)
+    except SpdMeansError as exc:
+        return type(exc), str(exc)
+    out = getattr(out, "worst_margin", out)
+    return [np.asarray(a).tobytes() for a in (out if isinstance(out, tuple) else (out,))]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bits", [4, 30, 53])
+@pytest.mark.parametrize("fn", HERMITIAN_PART.values(), ids=HERMITIAN_PART)
+def test_integer_input_is_its_float64_value_bitwise(fn, bits):
+    """Integer entries enter as float64.  Below 2**53 that value is exact,
+    so every result is bitwise the float matrix's, and the Hermitian part
+    is bitwise the integer formula (X + X^T) / 2."""
+    X = _integer_pd(bits, bits)
+    assert _outcome(fn, X) == _outcome(fn, X.astype(float))
+    assert hermitize(X).tobytes() == ((X + X.T) / 2).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_integer_sums_do_not_wrap():
+    """An int64 sum X + X* (or difference X - X*) near 2**63 would wrap:
+    a negative diagonal for [[2**62, 0], [0, 1]], and a skew matrix passing
+    as Hermitian.  As float64 the sums are exact up to rounding, and every
+    entry gives the float matrix's result or error."""
+    X = np.array([[2**62, 0], [0, 1]])
+    for fn in HERMITIAN_PART.values():
+        assert _outcome(fn, X) == _outcome(fn, X.astype(float))
+    assert hermitize(X).tolist() == [[2.0**62, 0.0], [0.0, 1.0]]
+    assert hermitian_eig(X)[0].tolist() == [2.0**62, 1.0]
+    assert hermitize(np.array([[100, 1], [1, 100]], np.int8)).tolist() == [[100, 1], [1, 100]]
+    skew = np.array([[0, 2**62], [-2**62, 0]])
+    assert is_hermitian(skew) is False
+    with pytest.raises(NonHermitianInput, match="symmetry defect"):
+        hermitian_eig(skew)
 
 
 @pytest.mark.parametrize("fn", [spectral_norm, spectrum_of_factor])
