@@ -56,18 +56,7 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY})
 
 
-__all__ = [
-    "CheckOutcome", "MajorizationReport", "OracleTally", "SimilarityWitness",
-    "SuiteConfig", "check_chain", "check_geometric_power", "check_lambda1",
-    "check_limit_sandwich", "check_limit_spectral", "check_loewner_heinz",
-    "check_loewner_monotone_geometric", "check_means_identities",
-    "check_natlog", "check_natlog_counterexample", "check_similarity",
-    "check_spectral_not_monotone", "check_spectral_power",
-    "check_trace_corollary", "compound", "compound_cross_check",
-    "eig_log_majorizes", "errors", "g_factor", "hermitian_eig", "hermitize",
-    "is_hermitian", "is_unitary", "ky_fan_norm", "log_majorizes", "majorizes",
-    "mat_exp", "mat_log", "mat_power", "metric_mean", "metric_mean_factor",
-    "run_suite", "sample_pd", "similarity_witness", "spectral_mean",
-    "spectral_mean_factor", "spectral_norm", "spectrum_of_factor", "summarize",
-    "weak_majorizes",
-]
+# The public names, kept nowhere else: errors, what is imported above and what loads on first use.
+__all__ = sorted({"errors", *(name for name, v in dict(globals()).items()
+                              if getattr(v, "__module__", "").startswith(f"{__name__}.")),
+                  *(name for name, module in _LAZY.items() if name != module)})

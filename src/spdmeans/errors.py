@@ -10,7 +10,7 @@ class NonHermitianInput(SpdMeansError):
 
 
 class NonFiniteInput(NonHermitianInput):
-    """An input matrix or spectrum has an inf or NaN entry."""
+    """An input matrix or spectrum has an entry whose modulus is not finite."""
 
 
 class NonPositiveSpectrum(SpdMeansError):

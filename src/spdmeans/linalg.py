@@ -30,7 +30,7 @@ ETA_HERM = 1e-10     # Hermitian symmetry defect
 ETA_UNIT = 1e-10     # unitarity defect
 TAU_RECON = 1e-10    # eigendecomposition reconstruction residual
 EPS_PD = 1e-12       # relative positivity floor: lambda_min > EPS_PD * lambda_max
-# Half of each LAPACK precision's largest value: (X + X*)/2 can overflow only beyond it.
+# Half of each LAPACK precision's largest value: X + X* and X - X* can overflow only beyond it.
 _HALF_MAX = {t: np.finfo(t).max / 2 for t in (np.float32, np.float64, np.complex64, np.complex128)}
 
 
@@ -45,8 +45,8 @@ def _hermitize(X: np.ndarray) -> np.ndarray:
 
 
 def hermitize(X) -> np.ndarray:
-    """Return (X + X*)/2 of a square matrix or stack with finite entries."""
-    return _hermitian_part(X := require_matrix(X, finite=True), ct(X), max_abs(X))
+    """Return (X + X*)/2 of a square matrix or stack with finite entry moduli."""
+    return _hermitian_mask(require_matrix(X, finite=True), math.inf)[2]   # at tol inf every matrix passes
 
 
 def max_abs(X: np.ndarray) -> np.ndarray:
@@ -70,23 +70,29 @@ def pymax(a, b):
     return np.where(b > a, b, a)
 
 
-def _matrix_defect(X: np.ndarray, square: bool = True) -> str:
-    """Why X is not a matrix (or stack) with a row and a column, square if
-    ``square``, of integers or a precision numpy.linalg takes (float32/64,
-    complex64/128); '' if it is.  Reads attributes, not entries."""
-    if X.ndim < 2 or 0 in X.shape[-2:] or square and X.shape[-1] != X.shape[-2]:
-        shape = "square with n >= 1" if square else "a matrix with a row and a column"
-        return f"must be {shape}, got shape {X.shape}"
-    if X.dtype.kind in "iu" or X.dtype.type in _HALF_MAX:
+def _dtype_defect(X: np.ndarray, real: bool = False) -> str:
+    """Why X's dtype is not integer (continuing as float64) or float32/64 or, unless ``real``,
+    complex64/128, the precisions numpy.linalg takes; '' if it is."""
+    if X.dtype.kind in "iu" or X.dtype.type in _HALF_MAX and X.dtype.kind in ("f" if real else "fc"):
         return ""
-    kind = "float32/64 or complex64/128" if X.dtype.kind in "fc" else "numeric"
+    kind = ("integer or float32/64" if real else
+            "float32/64 or complex64/128" if X.dtype.kind in "fc" else "numeric")
     return f"must be {kind}, got dtype {X.dtype}"
 
 
+def _matrix_defect(X: np.ndarray, square: bool = True) -> str:
+    """Why X is not a matrix (or stack) with a row and a column, square if
+    ``square``, of numbers (``_dtype_defect``); '' if it is.  Reads attributes, not entries."""
+    if X.ndim < 2 or 0 in X.shape[-2:] or square and X.shape[-1] != X.shape[-2]:
+        shape = "square with n >= 1" if square else "a matrix with a row and a column"
+        return f"must be {shape}, got shape {X.shape}"
+    return _dtype_defect(X)
+
+
 def require_finite(X: np.ndarray, name: str, error=NonFiniteInput) -> np.ndarray:
-    """X unless an entry is inf or NaN, which raises ``error`` naming it."""
-    if not np.isfinite(X).all():
-        raise error(f"{name} entries must be finite")
+    """X unless an entry's modulus is inf or NaN (as is an overflowing one), raising ``error``."""
+    if not np.abs(X).max(initial=0.0) < np.inf:
+        raise error(f"{name} {'entry moduli' if np.isfinite(X).all() else 'entries'} must be finite")
     return X
 
 
@@ -136,43 +142,51 @@ def require_real(v, name: str, lo: float = -math.inf, hi: float = math.inf,
     raise ValueError(f"{name} must {where}, got {v!r}")
 
 
-def _hermitian_mask(X: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Finite entries and symmetry of each matrix of a square stack (a numpy bool or bool array),
-    the X* it compares X with (non-finite matrices zeroed) and each matrix's largest modulus."""
-    finite = (scale := max_abs(X)) < np.inf   # false for an inf or NaN entry, zeroed before X - X*
-    X = np.where(finite[..., None, None], X, 0) if any_true(~finite) else X
-    return finite & (max_abs(X - (C := ct(X))) <= tol * (1.0 + scale)), C, scale
+def _symmetry(X: np.ndarray, tol: float, scale) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    defect, S = max_abs(X - (C := ct(X))), X + C
+    return defect <= tol * (1.0 + scale), defect, np.divide(S, 2, out=S)
 
 
-def _hermitian_part(X: np.ndarray, C: np.ndarray, scale) -> np.ndarray:
-    """(X + C)/2 for C = X* and ``scale`` X's largest moduli; NonFiniteInput if it overflows."""
-    if not any_true(scale > _HALF_MAX[X.dtype.type]):
-        return (X + C) / 2
+def _hermitian_mask(X: np.ndarray, tol: float, part: bool = True):
+    """Per matrix of a square stack: finite entry moduli and a symmetry defect max|X - X*| within
+    ``tol * (1 + max|X|)`` (a numpy bool or bool array), the defect, and (X + X*)/2.  Beyond
+    ``_HALF_MAX`` warnings are off, non-finite matrices zeroed, and (if ``part``) a passing
+    matrix whose Hermitian part overflows raises NonFiniteInput."""
+    if not any_true(~((scale := max_abs(X)) <= _HALF_MAX[X.dtype.type])):
+        return _symmetry(X, tol, scale)
     with np.errstate(over="ignore", invalid="ignore"):   # complex inf / 2 is invalid
-        return require_finite((X + C) / 2, "Hermitian part (X + X*)/2")
+        finite = scale < np.inf
+        ok, defect, H = _symmetry(np.where(finite[..., None, None], X, 0), tol, scale)
+        ok = ok & finite
+    if part:
+        require_finite(H[ok], "Hermitian part (X + X*)/2")
+    return ok, defect, H
 
 
 def is_hermitian(X, tol: float = ETA_HERM):
-    """Finite entries and symmetry, per matrix: a bool for one matrix, a bool array for a stack."""
+    """Finite entry moduli and symmetry, per matrix: a bool for one matrix, a bool array for a stack."""
     X, tol = np.asarray(X), require_real(tol, "tol", 0.0)
-    return False if _matrix_defect(X) else unbatch(_hermitian_mask(require_matrix(X), tol)[0])
+    return False if _matrix_defect(X) else unbatch(_hermitian_mask(require_matrix(X), tol, False)[0])
 
 
 def require_hermitian(X, tol: float = ETA_HERM) -> np.ndarray:
     """Validate the Hermitian invariant (``is_hermitian``); return the Hermitian part (X + X*)/2."""
-    ok, C, scale = _hermitian_mask(X := require_matrix(X), tol)
+    ok, defect, H = _hermitian_mask(X := require_matrix(X), tol)
     if any_true(~ok):
         require_finite(X, "matrix")
-        raise NonHermitianInput(f"symmetry defect {max_abs(X - C).max():.3e} exceeds tolerance")
-    return _hermitian_part(X, C, scale)
+        raise NonHermitianInput(f"symmetry defect {defect.max():.3e} exceeds tolerance")
+    return H
 
 
 def is_unitary(U: np.ndarray, tol: float = ETA_UNIT):
+    """U U* = I within tol, per matrix; false where U U* is not finite."""
     U, tol = np.asarray(U), require_real(tol, "tol", 0.0)
     if _matrix_defect(U):
         return False
-    gram = U @ ct(U)
-    return unbatch(max_abs(gram - np.eye(U.shape[-1])) <= tol * (1.0 + max_abs(gram)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = (U := require_matrix(U)) @ ct(U)
+        scale = max_abs(gram)
+        return unbatch((max_abs(gram - np.eye(U.shape[-1])) <= tol * (1.0 + scale)) & (scale < np.inf))
 
 
 def row_power(w: np.ndarray, e) -> np.ndarray:

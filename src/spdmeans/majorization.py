@@ -14,16 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadOrder,
-    DimensionMismatch,
-    EigFailure,
-    LengthMismatch,
-    NegativeEntry,
-    NonrealSpectrum,
-    NumericBreakdown,
-)
-from .linalg import (ETA_HERM, _compound, _eigh, _hermitian_mask, _hermitian_part, pymax,
+from .errors import (BadOrder, DimensionMismatch, EigFailure, LengthMismatch, NegativeEntry,
+                     NonrealSpectrum, NumericBreakdown)
+from .linalg import (ETA_HERM, _compound, _dtype_defect, _eigh, _hermitian_mask, pymax,
                      require_finite, require_integer, require_matrix, require_real,
                      require_same_shape, unbatch)
 
@@ -54,9 +47,11 @@ class MajorizationReport:
 
 
 def _check_lengths(y, x, tol) -> tuple[np.ndarray, np.ndarray, float]:
-    """y, x as descending finite float vectors (a scalar is one entry), nonempty, of one length."""
-    y, x = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (y, x))
+    """y, x as descending float64 vectors of finite reals (a scalar is one entry), nonempty, one length."""
+    y, x = (np.atleast_1d(np.asarray(v)) for v in (y, x))
     for name, v in (("y", y), ("x", x)):
+        if defect := _dtype_defect(v, real=True):
+            raise ValueError(f"{name} {defect}")
         if v.ndim != 1:
             raise DimensionMismatch(f"{name} must be a vector, got shape {v.shape}")
         if v.size == 0:
@@ -64,7 +59,8 @@ def _check_lengths(y, x, tol) -> tuple[np.ndarray, np.ndarray, float]:
         require_finite(v, name)
     if y.shape != x.shape:
         raise LengthMismatch(f"length mismatch: {y.size} vs {x.size}")
-    return -np.sort(-y, kind="stable"), -np.sort(-x, kind="stable"), require_real(tol, "tol", 0.0)
+    y, x = (-np.sort(-v.astype(np.float64), kind="stable") for v in (y, x))   # integers too
+    return y, x, require_real(tol, "tol", 0.0)
 
 
 def _sum_margins(y, x, tol: float) -> tuple[np.ndarray, float, float]:
@@ -114,10 +110,10 @@ def log_majorizes(y, x, tol: float = TAU_MAJ) -> MajorizationReport:
 def _nonneg_spectrum(X: np.ndarray) -> np.ndarray:
     n = X.shape[-1]
     flat = X.reshape(-1, n, n)
-    herm, C, scale = _hermitian_mask(flat, ETA_HERM)
+    herm, _, H = _hermitian_mask(flat, ETA_HERM)
     out = np.empty(flat.shape[:-1])
     if np.any(herm):           # Hermitian within ETA_HERM: their Hermitian parts go to eigh
-        out[herm] = _eigh(_hermitian_part(flat[herm], C[herm], scale[herm]))[0]
+        out[herm] = _eigh(H[herm])[0]
     if not np.all(herm):
         try:
             w = np.linalg.eigvals(flat[~herm])
@@ -153,9 +149,10 @@ def eig_log_majorizes(X, Y, tol: float = TAU_MAJ) -> MajorizationReport:
 
 
 def ky_fan_norm(X, k: int):
-    """Sum of the k largest singular values; k=1 is the spectral norm."""
-    X = require_matrix(X, "X", finite=True)
-    k = require_integer(k, "Ky Fan order k", 1, X.shape[-1], BadOrder)
+    """Sum of the k largest singular values of an m x n factor (or of each of a
+    stack), k in [1, min(m, n)]; k=1 is the spectral norm."""
+    X = require_matrix(X, "factor", square=False, finite=True)
+    k = require_integer(k, "Ky Fan order k", 1, min(X.shape[-2:]), BadOrder)
     return unbatch(np.sum(np.linalg.svd(X, compute_uv=False)[..., :k], axis=-1))
 
 

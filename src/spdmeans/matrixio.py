@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from numbers import Real
 from typing import Any
 
 import numpy as np
@@ -64,15 +65,21 @@ def dumps(obj: Any) -> str:
 
 def matrix_to_dict(M: np.ndarray) -> dict:
     (M,) = require_same_shape(require_matrix(M), single="matrix files")
-    is_complex = bool(np.iscomplexobj(M) and np.any(M.imag != 0))
-    d: dict[str, Any] = {
-        "n": int(M.shape[0]),
-        "complex": is_complex,
-        "data_re": [[float(v) for v in row] for row in M.real],
-    }
-    if is_complex:
-        d["data_im"] = [[float(v) for v in row] for row in M.imag]
+    d = {"n": int(M.shape[0]), "complex": bool(np.iscomplexobj(M) and np.any(M.imag != 0)),
+         "data_re": M.real.tolist()}
+    if d["complex"]:
+        d["data_im"] = M.imag.tolist()
     return d
+
+
+def _numbers(d: dict, key: str, n: int) -> np.ndarray:
+    """A matrix file's ``key`` block as float64: n rows of n JSON numbers, a NaN or Infinity
+    literal too (the finite rule refuses it where the matrix is used)."""
+    if bad := [v for row in d[key] for v in row if not isinstance(v, Real) or isinstance(v, bool)]:
+        raise ValueError(f"{key} entries must be JSON numbers, got {bad[0]!r}")
+    if (X := np.array(d[key], np.float64)).shape != (n, n):
+        raise ValueError(f"{key} has shape {X.shape}, expected ({n}, {n})")
+    return X
 
 
 def matrix_from_dict(d: Any) -> np.ndarray:
@@ -81,21 +88,13 @@ def matrix_from_dict(d: Any) -> np.ndarray:
     try:
         n = require_integer(d["n"], "n", 1)
         is_complex = require_flag(d["complex"], "complex")
-        re = np.array(d["data_re"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        if is_complex != ("data_im" in d):
+            raise ValueError("complex matrix file is missing data_im" if is_complex else
+                             "real matrix file must not carry data_im")
+        re = _numbers(d, "data_re", n)
+        return re + 1j * _numbers(d, "data_im", n) if is_complex else re
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix file: {exc}") from exc
-    if re.shape != (n, n):
-        raise ValueError(f"data_re has shape {re.shape}, expected ({n}, {n})")
-    if is_complex:
-        if "data_im" not in d:
-            raise ValueError("complex matrix file is missing data_im")
-        im = np.array(d["data_im"], dtype=float)
-        if im.shape != (n, n):
-            raise ValueError(f"data_im has shape {im.shape}, expected ({n}, {n})")
-        return re + 1j * im
-    if "data_im" in d:
-        raise ValueError("real matrix file must not carry data_im")
-    return re
 
 
 def write_matrix(path, M: np.ndarray) -> None:

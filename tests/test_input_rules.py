@@ -8,6 +8,9 @@ evaluators call none of the validating public functions: they take the
 battery's own draws as given and call the kernels behind those functions.
 A matrix that enters is replaced by its Hermitian part once, at the
 boundary, and the kernels decompose only exactly Hermitian matrices.
+Every array that enters passes one element rule: a matrix entry is a
+number with a finite modulus, a spectrum entry a real number and a matrix
+file entry a JSON number (the table at the end).
 """
 
 import dataclasses
@@ -22,7 +25,8 @@ import pytest
 
 import spdmeans
 from spdmeans import linalg, majorization, matrixio, means, suite
-from spdmeans.errors import DimensionMismatch, NonHermitianInput, SpdMeansError
+from spdmeans.errors import (DimensionMismatch, NonFiniteInput, NonHermitianInput, NonrealSpectrum,
+                            SpdMeansError)
 from spdmeans.suite import OracleTally, SuiteConfig, run_suite, summarize
 
 A3, B3 = spdmeans.sample_pd(3, 1, 10.0), spdmeans.sample_pd(3, 2, 10.0)
@@ -313,3 +317,114 @@ def test_battery_decomposes_only_exactly_hermitian_matrices(cfg, monkeypatch):
     monkeypatch.setattr(suite, "_psd_margin", exact("_psd_margin", suite._psd_margin))
     assert suite._registry_rows(cfg, 1, OracleTally())
     assert all(calls.values()), calls
+
+
+# The element rule, one table: each public entry point that takes an array
+# (a row) against each kind of entry it refuses (a column).  A matrix entry is
+# a number whose modulus is finite, a spectrum entry a real number, and a
+# matrix file entry a JSON number.  The cells here are those the rule changed;
+# each row's dtype and inf-or-NaN cells that were already refused are pinned
+# in test_linalg.py (UNSUPPORTED) and test_majorization.py.
+Z = 1.5e308 + 1.5e308j
+MATRIX_KINDS = {
+    "inf-or-nan-part": np.array([[1.0, complex(0.0, math.inf)], [complex(0.0, -math.inf), 1.0]]),
+    "overflowing-modulus": np.array([[1.0, Z], [np.conj(Z), 1.0]]),   # Hermitian, parts finite
+    "skew-above-half-max": np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]),  # X - X* overflows
+}
+SPECTRUM_KINDS = {"bool": [True, False], "str": ["1", "0"],
+                  "object": np.array([1.0, 0.0], dtype=object), "complex-spectrum": [1 + 1j, 0.0]}
+FILE_KINDS = {"bool": True, "str": "1", "object": None}     # JSON true, "1" and null
+MODULI = (NonFiniteInput, r"^\w+ entry moduli must be finite$")
+# what each group of rows does with each kind: an error class and message, or False
+GROUPS = {
+    "hermitian": {"overflowing-modulus": MODULI,
+                  "skew-above-half-max": (NonHermitianInput, r"^symmetry defect inf exceeds tolerance$")},
+    "eigenvalues": {"overflowing-modulus": MODULI,
+                    "skew-above-half-max": (NonrealSpectrum, "non-negligible imaginary parts")},
+    "any-matrix": {"overflowing-modulus": MODULI},
+    "is_hermitian": {"skew-above-half-max": False},
+    "is_unitary": {kind: False for kind in MATRIX_KINDS},
+    "spectrum": {kind: (ValueError, r"^y must be integer or float32/64, got dtype \S+$")
+                 for kind in SPECTRUM_KINDS},
+}
+ROW_GROUPS = {"is_hermitian": "is_hermitian", "is_unitary": "is_unitary",
+              **dict.fromkeys(("majorizes", "weak_majorizes", "log_majorizes"), "spectrum"),
+              **dict.fromkeys(("nonneg_spectrum", "eig_log_majorizes"), "eigenvalues"),
+              **dict.fromkeys(("spectral_norm", "spectrum_of_factor", "ky_fan_norm", "compound",
+                               "compound_cross_check", "hermitize"), "any-matrix")}
+ARRAYS = set("ABCDFHMPUXY") | {"x", "y"}
+
+
+def _array_rows() -> dict:
+    """name -> call putting its argument in a public function's first array
+    parameter, with valid 2 x 2 (or length-2) operands and scalars elsewhere."""
+    fns = {name: getattr(spdmeans, name) for name in spdmeans.__all__}
+    fns.update(pd_eig=linalg.pd_eig, mat_sqrt_pair=linalg.mat_sqrt_pair,
+               nonneg_spectrum=majorization.nonneg_spectrum)
+    rows = {}
+    for name, fn in fns.items():
+        if not inspect.isfunction(fn) or not ARRAYS & set(sig := inspect.signature(fn).parameters):
+            continue
+        arrays = [p for p in sig if p in ARRAYS]
+        check = next((c for c in suite._REGISTRY if c.public is fn), None)
+        params = ({**dict(zip(sig, check.fixed[0])), **check.options(SuiteConfig(), None)} if check
+                  else {q: BASE[sig[q].annotation] for q in sig
+                        if sig[q].default is inspect.Parameter.empty and q not in arrays})
+        params.update({p: [1.0, 1.0] if p in "xy" else np.eye(2) for p in arrays[1:]})
+        rows[name] = lambda v, fn=fn, params=params, first=arrays[0]: fn(**{**params, first: v})
+    return rows
+
+
+def _cells() -> dict:
+    """id -> (call with the refused value, what it must do), one per cell of the table."""
+    cells = {}
+    for name, call in ROWS.items():
+        group = ROW_GROUPS.get(name, "hermitian")
+        values = SPECTRUM_KINDS if group == "spectrum" else MATRIX_KINDS
+        for kind, expected in GROUPS[group].items():
+            cells[f"{name}-{kind}"] = (lambda call=call, v=values[kind]: call(v)), expected
+    for block in ("data_re", "data_im"):
+        for kind, v in FILE_KINDS.items():
+            d = {"n": 1, "complex": block == "data_im", "data_re": [[1.0]], block: [[v]]}
+            cells[f"matrix_file-{block}-{kind}"] = (
+                lambda d=d: matrixio.matrix_from_dict(d),
+                (ValueError, rf"\b{block} entries must be JSON numbers, got {re.escape(repr(v))}$"))
+    return cells
+
+
+ROWS = _array_rows()
+CELLS = _cells()
+
+
+def test_every_array_entry_point_is_a_row():
+    assert {"hermitian_eig", "pd_eig", "mat_sqrt_pair", "metric_mean", "g_factor", "hermitize",
+            "is_unitary", "spectral_norm", "compound_cross_check", "nonneg_spectrum", "majorizes",
+            "check_chain", "check_loewner_monotone_geometric"} <= set(ROWS)
+    assert len(ROWS) == 37          # 22 exported functions, 12 checks and 3 module-level ones
+    assert set(ROW_GROUPS) <= set(ROWS)
+    columns = {kind for key in CELLS for kind in [*MATRIX_KINDS, *SPECTRUM_KINDS] if key.endswith(kind)}
+    assert columns == {*MATRIX_KINDS, *SPECTRUM_KINDS}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, expected", CELLS.values(), ids=CELLS)
+def test_each_entry_point_refuses_each_kind_by_name(call, expected):
+    """No numpy warning, no raw TypeError, no NaN result and no coercion of a
+    bool, a string or an object to a number: a package error or ValueError
+    naming the argument, or False from a predicate."""
+    if expected is False:
+        assert call() is False
+        return
+    error, message = expected
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_is_unitary_is_false_where_u_u_star_wraps_or_overflows():
+    """U U* of integers is formed in float64: in int64, (2**63 - 1)**2 is 1
+    modulo 2**64, and this diagonal passed as unitary.  A finite entry whose
+    square overflows made U U* inf, which passed the scaled test inf <= inf."""
+    assert spdmeans.is_unitary(np.array([[2**63 - 1, 0], [0, 1]])) is False
+    assert spdmeans.is_unitary(np.diag([8e307, 1.0])) is False
+    assert spdmeans.is_unitary(np.array([[0, 1], [-1, 0]])) is True

@@ -18,6 +18,7 @@ from spdmeans import (
     metric_mean,
     sample_pd,
     spectral_mean,
+    spectral_norm,
     weak_majorizes,
 )
 from spdmeans.errors import (BadOrder, DimensionMismatch, LengthMismatch, NegativeEntry,
@@ -215,6 +216,18 @@ class TestKyFanNorm:
             ky_fan_norm(np.eye(2), 0)
         with pytest.raises(BadOrder):
             ky_fan_norm(np.eye(2), 3)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 4), (3, 2, 4)])
+    def test_takes_the_factor_rule(self, shape):
+        """An m x n factor, as spectral_norm takes it: k runs over [1, min(m, n)],
+        and k = 1 is the spectral norm bit for bit."""
+        F = np.arange(np.prod(shape), dtype=float).reshape(shape) ** 1.5
+        assert np.asarray(ky_fan_norm(F, 1)).tobytes() == np.asarray(spectral_norm(F)).tobytes()
+        k = min(shape[-2:])
+        s = np.linalg.svd(F, compute_uv=False)
+        assert np.asarray(ky_fan_norm(F, k)).tobytes() == np.sum(s, axis=-1).tobytes()
+        with pytest.raises(BadOrder, match=rf"must lie in \[1, {k}\], got {k + 1}$"):
+            ky_fan_norm(F, k + 1)
 
     def test_monotone_under_log_majorization(self):
         rng = np.random.default_rng(65)

@@ -1,6 +1,7 @@
 """The scripts under ``scripts/`` still run.  They read suite internals, so a
 rename that breaks one fails here."""
 
+import importlib
 import re
 import subprocess
 import sys
@@ -28,6 +29,23 @@ IMPORTED = {
     "spdmeans.cli": ("spdmeans spdmeans.cli spdmeans.errors spdmeans.linalg spdmeans.majorization "
                      "spdmeans.matrixio spdmeans.means spdmeans.suite"),
 }
+
+
+def _bench_names() -> list[str]:
+    """Every function the benchmark reaches by name: the layers ``bench/tracer.py``
+    wraps, and what ``bench/meanscalls.py``, ``child.py`` and ``run.py``'s KERNELS call."""
+    path, tracer = ROOT / "bench" / "tracer.py", {}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer)   # writes no bytecode
+    names = [f"{module}.{fn}" for module, fns in tracer["LAYERS"].values() for fn in fns]
+    return names + ["spdmeans.metric_mean", "spdmeans.spectral_mean",
+                    "spdmeans.linalg.mat_sqrt_pair", "spdmeans.cli.main"]
+
+
+@pytest.mark.parametrize("name", _bench_names())
+def test_every_name_the_benchmark_reaches_resolves(name):
+    """A rename or deletion fails here, not in a traced benchmark run."""
+    module, fn = name.rsplit(".", 1)
+    assert callable(getattr(importlib.import_module(module), fn))
 
 
 def run_script(script, args, env, exits=(0,)) -> list[str]:
