@@ -180,10 +180,12 @@ def _compound_order(x, y, tol: float = TAU_MAJ) -> np.ndarray:
     of the dominated and of the dominant stack."""
     (tops_x, kappa_x, det_x), (tops_y, kappa_y, det_y) = x, y
     n = len(tops_x)
-    det_tol = pymax(tol, 64.0 * n * _EPS * (kappa_x + kappa_y))
-    ok = ~(np.abs(det_x - det_y) > det_tol * pymax(np.abs(det_x), np.abs(det_y)))
-    for k, (top_x, top_y) in enumerate(zip(tops_x, tops_y), 1):
-        ok &= ~(top_x > top_y * (1.0 + (det_tol if k == n else tol)))
+    # a slack that overflows is +inf, as in exact arithmetic, and allows any gap
+    with np.errstate(over="ignore"):
+        det_tol = pymax(tol, 64.0 * n * _EPS * (kappa_x + kappa_y))
+        ok = ~(np.abs(det_x - det_y) > det_tol * pymax(np.abs(det_x), np.abs(det_y)))
+        for k, (top_x, top_y) in enumerate(zip(tops_x, tops_y), 1):
+            ok &= ~(top_x > top_y * (1.0 + (det_tol if k == n else tol)))
     return ok
 
 

@@ -18,11 +18,17 @@ double precision even for badly conditioned inputs.
 A and B may be stacks of shape ``(..., n, n)``; the means are then taken
 pair by pair.  The underscore functions take operands decomposed once by
 ``linalg.spd`` and a weight per pair, so callers that combine one pair in
-several ways decompose each operand only once.
+several ways decompose each operand only once.  From matrix order
+``_WORKER_ORDER`` on, the public functions decompose B on one worker
+thread while the calling thread decomposes A; the results are the same
+bits either way.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +38,64 @@ from .linalg import (Spd, _hermitize, ct, from_eig, require_hermitian, require_r
                      require_same_shape, row_power, spd)
 
 _SINGULAR_FLOOR = 1e4 * np.finfo(float).eps
+# Smallest matrix order at which the public functions decompose B on a worker
+# thread while the calling thread decomposes A: below it, handing B over
+# costs more than the overlap saves (measured; see README, "Library").
+_WORKER_ORDER = 48
+
+_worker_lock = threading.Lock()
+_worker_jobs = None     # the worker's queue of (context, B, reply queue), once it runs
+
+
+def _decomposed(B) -> Spd:
+    b = spd(require_hermitian(B))
+    b.root                             # read by every caller of _operands
+    return b
+
+
+def _serve(jobs) -> None:
+    while True:
+        context, B, reply = jobs.get()
+        try:
+            reply.put(context.run(_decomposed, B))
+        except BaseException as exc:   # raised again by the waiting caller
+            reply.put(exc)
+
+
+def _forget_worker() -> None:
+    """In a forked child: the worker thread, and any lock holder, stayed in the parent."""
+    global _worker_lock, _worker_jobs
+    _worker_lock, _worker_jobs = threading.Lock(), None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _operands(A, B, t) -> tuple[Spd, Spd, float]:
-    """The public means' inputs: A, then B, decomposed, then the weight."""
+    """The public means' inputs: A, then B, decomposed, then the weight.
+    Errors come in that order too, whichever thread decomposes B, and B is
+    decomposed in the caller's context (its ``np.errstate``) either way."""
+    global _worker_jobs
     A, B = require_same_shape(A, B)
-    return spd(require_hermitian(A)), spd(require_hermitian(B)), require_real(t, "weight t", 0.0, 1.0)
+    if A.ndim < 2 or A.shape[-1] < _WORKER_ORDER:
+        return spd(require_hermitian(A)), spd(require_hermitian(B)), require_real(t, "weight t", 0.0, 1.0)
+    import queue                       # on first use: `import spdmeans` does not load it
+    reply = queue.SimpleQueue()
+    with _worker_lock:
+        if _worker_jobs is None:
+            jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(jobs,), name="spdmeans-operand",
+                             daemon=True).start()
+            _worker_jobs = jobs        # only once a thread serves it
+        _worker_jobs.put((contextvars.copy_context(), B, reply))
+    try:
+        a = spd(require_hermitian(A))
+    finally:
+        b = reply.get()                # even if A fails: the worker is done with B on return
+    if isinstance(b, BaseException):
+        raise b
+    return a, b, require_real(t, "weight t", 0.0, 1.0)
 
 
 def gram(F: np.ndarray) -> np.ndarray:

@@ -263,7 +263,9 @@ DECOMPOSING = {
 }
 PAIRS = {"complex": (A3, B3),
          "real-stack": tuple(np.stack([spdmeans.sample_pd(4, s, 1e3).real + 4 * np.eye(4)
-                                       for s in (seed, seed + 1)]) for seed in (3, 5))}
+                                       for s in (seed, seed + 1)]) for seed in (3, 5)),
+         # at the order from which the means decompose B on their worker thread
+         "worker-order": tuple(spdmeans.sample_pd(means._WORKER_ORDER, s, 10.0) for s in (1, 2))}
 
 
 @pytest.mark.filterwarnings("error")

@@ -305,3 +305,14 @@ class TestCompoundCrossCheck:
                 compound_cross_check(big, big)
             with pytest.raises(NumericBreakdown, match="order-2"):
                 compound_cross_check(np.eye(2), big)
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_slack_allows_any_gap_without_a_warning(self):
+        """At kappa 8e307 the determinant slack is about 2e294, and its
+        products overflow to +inf, as in exact arithmetic: the determinant
+        gap passes, and order 1, compared within ``tol``, still decides."""
+        wide = np.diag([8e307, 1.0])
+        assert compound_cross_check(wide, wide)
+        assert compound_cross_check(wide, np.diag([8e307, 2.0]))
+        assert not compound_cross_check(wide, np.diag([1.0, 2.0]))
+        assert not compound_cross_check(np.diag([1.6e308, 1.0]), wide)   # kappa_x + kappa_y = inf
