@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a_file")
     p.add_argument("b_file")
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--p-min-exp", type=int, default=10, dest="p_min_exp")
+    p.add_argument("--p-min-exp", type=int, default=SuiteConfig.p_min_exp, dest="p_min_exp")
     p.add_argument("--out", default="limit.csv")
     p.set_defaults(fn=_cmd_limit)
 

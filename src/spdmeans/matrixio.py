@@ -140,12 +140,10 @@ def sanitize(obj: Any) -> Any:
         return matrix_to_dict(obj)
     if isinstance(obj, (list, tuple)):
         return [sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, (float, np.floating)):   # Python's or numpy's: an infinity is null
+        return None if math.isinf(obj) else float(obj)
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (float,)) and math.isinf(obj):
-        return None
     return obj
 
 

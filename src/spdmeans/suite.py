@@ -72,7 +72,6 @@ from .means import (
     gram,
 )
 
-TAU_SIM = 1e-8       # similarity-witness residual, relative
 SPECTRUM_TOL = 5e-4  # reproduction of 4-decimal reference spectra
 ENTRY_TOL = 1e-3     # reproduction of 4-decimal reference matrices
 EIG_TOL = 5e-3       # reproduction of 4-decimal reference eigenvalues
@@ -320,8 +319,9 @@ def _positive(**values) -> list[float]:
 def _power_order(mean, A, B, t, r, tol, tally):
     """Power inequality rows for the ``geometric`` (metric) or ``spectral``
     mean.  For the metric mean the mean of the r-th powers is dominated
-    when r >= 1 and the smaller exponent dominates in the monotone family;
-    the spectral mean reverses both orderings."""
+    when r >= 1; the spectral mean reverses the ordering.  The exponent
+    statement at (min(r, 1), max(r, 1)) is the power inequality divided by
+    r: both take one mask, and the oracle compares both with one link."""
     reverse = mean == "spectral"
     factor = _nat_factor if reverse else _metric_factor
     a, b = spd(A), spd(B)
@@ -330,45 +330,37 @@ def _power_order(mean, A, B, t, r, tol, tally):
     log_base = np.log(_spectrum_of_factor(F_base))
     log_pow = np.log(_spectrum_of_factor(F_pow))
 
-    cols = {"t": t, "r": r}
-    low = ((r >= 1.0) != reverse)[:, None]     # the power mean is dominated
-    scaled = r[:, None] * log_base
-    ok_order = _logmaj(cols, "power_order", np.where(low, log_pow, scaled),
-                       np.where(low, scaled, log_pow), tol)
-
-    # exponent monotonicity with (q, p) = (min(r,1), max(r,1))
-    q, p = np.minimum(r, 1.0), np.maximum(r, 1.0)
-    log_q = np.where((q == 1.0)[:, None], log_base, log_pow) / q[:, None]
-    log_p = np.where((p == 1.0)[:, None], log_base, log_pow) / p[:, None]
-    ok_mono = _logmaj(cols, "exponent_monotone", *((log_q, log_p) if reverse else (log_p, log_q)), tol)
+    cols, rc = {"t": t, "r": r}, r[:, None]
+    low = (rc >= 1.0) != reverse               # the power side is dominated
+    sides = {"power_order": (log_pow, rc * log_base),
+             "exponent_monotone": (np.where(rc == 1.0, log_base, log_pow / rc), log_base)}
+    oks = [_logmaj(cols, name, np.where(low, power, base), np.where(low, base, power), tol)
+           for name, (power, base) in sides.items()]
 
     def links():
-        base, powered = gram(F_base), gram(F_pow)
-        eig_base = _pd_eigh(base)
-        base_r, m = power_from_eig(*eig_base, r), low[:, :, None]
-        # of q and p one is 1, giving base^1, and the other r, giving powered^(1/r)
-        one, root = power_from_eig(*eig_base, 1.0), power_from_eig(*_pd_eigh(powered), 1.0 / r)
-        mq, mp = (np.where(x[:, None, None], root, one) for x in (r < 1.0, r > 1.0))
-        return [(ok_order, np.where(m, powered, base_r), np.where(m, base_r, powered)),
-                (ok_mono, *((mq, mp) if reverse else (mp, mq)))]
+        m, powered, base_r = low[..., None], gram(F_pow), power_from_eig(*_pd_eigh(gram(F_base)), r)
+        lo, hi = np.where(m, powered, base_r), np.where(m, base_r, powered)
+        return [(ok, lo, hi) for ok in oks]
     _oracle(tally, A, tol, links)
     return _outcomes(f"{mean}_power_order", tol, cols)
 
 
-def check_geometric_power(A, B, t: float, r: float, tol: float = 1e-8,
+def check_geometric_power(A, B, t: float, r: float, tol: float = SuiteConfig.tol,
                           tally: OracleTally | None = None) -> CheckOutcome:
     """Power inequality for the metric mean: the r-th power of the mean
     dominates the mean of the r-th powers for r >= 1 (reversed for
-    r <= 1), plus the induced monotonicity in the exponent."""
+    r <= 1), plus the induced monotonicity in the exponent, which at
+    (min(r, 1), max(r, 1)) is the power inequality divided by r."""
     t, r, tol = _weight(t), *_positive(r=r, tol=tol)
     return _power_order("geometric", *_one(A, B), *_col(t, r), tol, tally)[0]
 
 
-def check_spectral_power(A, B, t: float, r: float, tol: float = 1e-8,
+def check_spectral_power(A, B, t: float, r: float, tol: float = SuiteConfig.tol,
                          tally: OracleTally | None = None) -> CheckOutcome:
     """Power inequality for the spectral mean; the ordering is reversed
     relative to the metric mean: the mean of the r-th powers dominates
-    for r >= 1, and the larger exponent dominates in the monotone family."""
+    for r >= 1, and the larger exponent dominates in the monotone family,
+    which at (min(r, 1), max(r, 1)) is the power inequality divided by r."""
     t, r, tol = _weight(t), *_positive(r=r, tol=tol)
     return _power_order("spectral", *_one(A, B), *_col(t, r), tol, tally)[0]
 
@@ -393,7 +385,7 @@ def _natlog_factors(a, b, t, s) -> tuple[np.ndarray, np.ndarray]:
     return F_mid, _nat_factor(a, b, t)
 
 
-def _natlog(A, B, t, s, tol, tally, factors=None):
+def _natlog(A, B, t, s, tol, force, tally, factors=None):
     F_mid, F_nat = _natlog_factors(spd(A), spd(B), t, s) if factors is None else factors
     cols = {"t": t, "s": s}
     ok = _logmaj(cols, "sandwich_vs_mean", np.log(_spectrum_of_factor(F_mid)) / s[:, None],
@@ -401,12 +393,12 @@ def _natlog(A, B, t, s, tol, tally, factors=None):
     _oracle(tally, A, tol, lambda: [(ok, _power(gram(F_mid), 1.0 / s), gram(F_nat))])
     outs = _outcomes("natlog_order", tol, cols)
     for out, u, v in zip(outs, t.tolist(), s.tolist()):
-        if _beyond_bound(u, v):         # reached only by force: informational
+        if force and _beyond_bound(u, v):   # forced beyond the bound: informational
             out.detail["out_of_range"] = 1.0
     return outs
 
 
-def check_natlog(A, B, t: float, s: float, tol: float = 1e-8, force: bool = False,
+def check_natlog(A, B, t: float, s: float, tol: float = SuiteConfig.tol, force: bool = False,
                  tally: OracleTally | None = None) -> CheckOutcome:
     """(B^{ts/2} A^{(1-t)s} B^{ts/2})^{1/s} is log-majorized by the
     spectral mean.
@@ -420,7 +412,7 @@ def check_natlog(A, B, t: float, s: float, tol: float = 1e-8, force: bool = Fals
     t, s, tol = _weight(t), *_positive(s=s, tol=tol)
     if not require_flag(force, "force") and _beyond_bound(t, s):
         raise SOutOfRange(f"s={s} exceeds the provable bound {s_provable_bound(t):.6g} for t={t}")
-    return _natlog(*_one(A, B), *_col(t, s), tol, tally)[0]
+    return _natlog(*_one(A, B), *_col(t, s), tol, force, tally)[0]
 
 
 def _chain(A, B, t, tol, tally):
@@ -446,7 +438,7 @@ def _chain(A, B, t, tol, tally):
     return _outcomes("chain_order", tol, cols)
 
 
-def check_chain(A, B, t: float, tol: float = 1e-8,
+def check_chain(A, B, t: float, tol: float = SuiteConfig.tol,
                 tally: OracleTally | None = None) -> CheckOutcome:
     """Four-link log-majorization chain between the two means:
 
@@ -551,7 +543,7 @@ def _trace(A, B, t, p_grid, tol):
     return _outcomes("trace_descent", tol, cols)
 
 
-def check_trace_corollary(A, B, t: float, p_grid, tol: float = 1e-8) -> CheckOutcome:
+def check_trace_corollary(A, B, t: float, p_grid, tol: float = SuiteConfig.tol) -> CheckOutcome:
     """tr exp((1-t)A + tB) is a lower bound for tr of the p-family of
     spectral means of exponentials, and the traces decrease with p."""
     p_grid = _validate_p_grid(p_grid)
@@ -601,16 +593,20 @@ def _limit(family, A, B, t, p_grid, tol, err_threshold, floor, tally):
     return _outcomes(f"limit_{family}", tol, cols)
 
 
-def check_limit_spectral(A, B, t: float, p_grid, tol: float = 1e-8, err_threshold: float = 1e-2,
-                         floor: float = 1e-8, tally: OracleTally | None = None) -> CheckOutcome:
+def check_limit_spectral(A, B, t: float, p_grid, tol: float = SuiteConfig.tol,
+                         err_threshold: float = SuiteConfig.limit_err_threshold,
+                         floor: float = SuiteConfig.limit_floor,
+                         tally: OracleTally | None = None) -> CheckOutcome:
     """(exp(pA) nat_t exp(pB))^{1/p} converges down to exp((1-t)A + tB)
     as p -> 0, monotonically in the log-majorization order."""
     return _limit("spectral", *_one(A, B), *_col(_weight(t)), _validate_p_grid(p_grid),
                   *_positive(tol=tol, err_threshold=err_threshold, floor=floor), tally)[0]
 
 
-def check_limit_sandwich(A, B, t: float, p_grid, tol: float = 1e-8, err_threshold: float = 1e-2,
-                         floor: float = 1e-8, tally: OracleTally | None = None) -> CheckOutcome:
+def check_limit_sandwich(A, B, t: float, p_grid, tol: float = SuiteConfig.tol,
+                         err_threshold: float = SuiteConfig.limit_err_threshold,
+                         floor: float = SuiteConfig.limit_floor,
+                         tally: OracleTally | None = None) -> CheckOutcome:
     """(exp(ptB/2) exp(p(1-t)A) exp(ptB/2))^{1/p} converges down to
     exp((1-t)A + tB); the family is log-majorization monotone and bounded
     above by the spectral mean of exp(A) and exp(B)."""
@@ -636,7 +632,8 @@ def _loewner_monotone(A, B, C, D, t, psd_tol):
     return _outcomes("loewner_monotone_metric", psd_tol, cols)
 
 
-def check_loewner_monotone_geometric(A, B, C, D, t: float, psd_tol: float = 1e-9) -> CheckOutcome:
+def check_loewner_monotone_geometric(A, B, C, D, t: float,
+                                     psd_tol: float = SuiteConfig.psd_tol) -> CheckOutcome:
     """Joint Loewner monotonicity of the metric mean: A >= C and B >= D
     imply metric_mean(A, B, t) >= metric_mean(C, D, t)."""
     (A, B, C, D), (t,), (psd_tol,) = _one(A, B, C, D), _col(_weight(t)), _positive(psd_tol=psd_tol)
@@ -650,7 +647,7 @@ def _heinz(A, B, r, psd_tol):
     return _outcomes("loewner_heinz", psd_tol, cols)
 
 
-def check_loewner_heinz(A, B, r: float, psd_tol: float = 1e-9) -> CheckOutcome:
+def check_loewner_heinz(A, B, r: float, psd_tol: float = SuiteConfig.psd_tol) -> CheckOutcome:
     """A >= B >= 0 implies A^r >= B^r for r in [0, 1]."""
     (A, B), (r,), (psd_tol,) = _one(A, B), _col(_weight(r, "r")), _positive(psd_tol=psd_tol)
     _require_loewner(A, B, psd_tol, "A vs B")
@@ -669,7 +666,7 @@ def _lambda1(A, B, s, tol, tally):
     return _outcomes("lambda1_power_order", tol, cols)
 
 
-def check_lambda1(A, B, s: float, tol: float = 1e-8,
+def check_lambda1(A, B, s: float, tol: float = SuiteConfig.tol,
                   tally: OracleTally | None = None) -> CheckOutcome:
     """Top-eigenvalue inequality for fractional powers of a product,
     lambda_1(A^{s/2} B^s A^{s/2}) <= lambda_1(A^{1/2} B A^{1/2})^s for
@@ -729,7 +726,7 @@ def _means_identities(A, B, t, r, s, alpha, beta, tol):
 
 
 def check_means_identities(A, B, t: float, r: float = 0.25, s: float = 0.75, alpha: float = 2.0,
-                           beta: float = 0.5, tol: float = 1e-8) -> CheckOutcome:
+                           beta: float = 0.5, tol: float = SuiteConfig.tol) -> CheckOutcome:
     """Algebraic identities of the spectral mean: inversion, reversal,
     the conjugating-factor identities, interpolation, endpoint values,
     determinant and homogeneity identities, and the square-root spectrum
@@ -754,7 +751,7 @@ def _similarity(A, B, t, tol):
     return _outcomes("similarity_witness", tol, cols)
 
 
-def check_similarity(A, B, t: float, tol: float = TAU_SIM) -> CheckOutcome:
+def check_similarity(A, B, t: float, tol: float = SuiteConfig.tol) -> CheckOutcome:
     """The constructed witness conjugates the midpoint metric mean onto
     the two-sided spectral-mean product: residual, unitarity of the
     rotator, and equality of the two spectra."""
@@ -776,7 +773,7 @@ def _reproduce(out: CheckOutcome, ce: dict, computed, holds: bool = True) -> Che
     return out
 
 
-def check_natlog_counterexample(tol: float = 1e-9,
+def check_natlog_counterexample(tol: float = SuiteConfig.tol,
                                 tally: OracleTally | None = None) -> CheckOutcome:
     """Reproduce the 2x2 fixture where s = 2.1 > 3/2, the provable bound at
     t = 1/3, breaks the sandwich-vs-mean log majorization.  The passing
@@ -786,14 +783,14 @@ def check_natlog_counterexample(tol: float = 1e-9,
     A, B, t, s = ce["A"], ce["B"], ce["t"], ce["s"]
     ops, params = _one(A, B), _col(t, s)
     F_mid, F_nat = factors = _natlog_factors(*map(spd, ops), *params)
-    out = _natlog(*ops, *params, tol, tally, factors)[0]
+    out = _natlog(*ops, *params, tol, True, tally, factors)[0]
     out.check_id, out.witness = "counterexample_natlog", {"A": A, "B": B, "t": t, "s": s}
     sandwich, nat = _power(gram(F_mid), 1.0 / s)[0], gram(F_nat)[0]
     return _reproduce(out, ce, (np.linalg.eigvalsh(sandwich)[::-1], np.linalg.eigvalsh(nat)[::-1],
                                 sandwich, nat))
 
 
-def check_spectral_not_monotone(psd_tol: float = 1e-9) -> CheckOutcome:
+def check_spectral_not_monotone(psd_tol: float = SuiteConfig.psd_tol) -> CheckOutcome:
     """Reproduce the 2x2 fixture showing the spectral mean is not jointly
     Loewner-monotone: B1 >= B2 but the difference of the two means has a
     negative eigenvalue.  The passing outcome is a FALSE PSD verdict with
@@ -983,7 +980,8 @@ class _Check(NamedTuple):
     def options(self, cfg: SuiteConfig, tally: OracleTally) -> dict:
         """The keyword options of both functions under ``cfg``."""
         values = {"tol": cfg.tol, "psd_tol": cfg.psd_tol, "tally": tally,
-                  "err_threshold": cfg.limit_err_threshold, "floor": cfg.limit_floor}
+                  "err_threshold": cfg.limit_err_threshold, "floor": cfg.limit_floor,
+                  "force": cfg.force_out_of_range}
         return {key: dyadic_grid(cfg.p_min_exp) if key == "p_grid" else values[key]
                 for key in self.keywords}
 
@@ -1006,7 +1004,7 @@ _REGISTRY = (
     _Check("spectral_power_order", _trial_power, partial(_power_order, "spectral"),
            check_spectral_power, ((_DIAG_A, _DIAG_B, 0.4, 2.0),), _ORACLE),
     _Check("natlog_order", _trial_natlog, _natlog, check_natlog,
-           ((_DIAG_A, _DIAG_B, 0.5, 1.0),), _ORACLE),
+           ((_DIAG_A, _DIAG_B, 0.5, 1.0),), ("tol", "force", "tally")),
     _Check("chain_order", partial(_trial_pair, power=1.0), _chain, check_chain,
            ((_DIAG_A, _DIAG_A, 0.7), (_DIAG_A, _DIAG_B, 0.0)), _ORACLE),
     _Check("trace_descent", _trial_pair, _trace, check_trace_corollary,

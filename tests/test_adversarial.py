@@ -20,6 +20,8 @@ from spdmeans import (
 )
 from spdmeans.suite import s_provable_bound
 
+from helpers import rel_dev
+
 TOL = 1e-8                               # the checks' default gate
 
 
@@ -53,10 +55,6 @@ def pairs(draw):
 near_zero = st.floats(0.0, 1e-12)
 weights = st.one_of(st.sampled_from([0.0, 1.0]), near_zero, near_zero.map(lambda d: 1.0 - d),
                     st.floats(0.0, 1.0))
-
-
-def rel_dev(X, Y) -> float:
-    return float(np.max(np.abs(X - Y)) / max(np.max(np.abs(X)), np.max(np.abs(Y))))
 
 
 @pytest.mark.parametrize("mean", [metric_mean, spectral_mean])

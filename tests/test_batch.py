@@ -34,16 +34,7 @@ from spdmeans.linalg import (
 from spdmeans.majorization import _compound_order, _compound_spectra, nonneg_spectrum
 from spdmeans.suite import _REGISTRY, _stack
 
-
-def bitwise_equal(x, y) -> bool:
-    x, y = np.asarray(x), np.asarray(y)
-    return (x.shape == y.shape and np.array_equal(x, y, equal_nan=True)
-            and np.array_equal(np.signbit(x.real), np.signbit(y.real)))
-
-
-def same_float(x: float, y: float) -> bool:
-    return (math.isnan(x) and math.isnan(y)) or (
-        x == y and math.copysign(1.0, x) == math.copysign(1.0, y))
+from helpers import bitwise_equal, same_float
 
 
 def draws(check, cfg: SuiteConfig, k: int) -> dict:

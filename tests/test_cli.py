@@ -72,6 +72,15 @@ class TestMatrixFiles:
             '  "tuple": [1, 0.10000000000000001],\n  "int64": 7,\n'
             '  "numpy": [\n    3,\n    0.10000000000000001\n  ],\n  "none": null\n}\n')
 
+    @pytest.mark.parametrize(
+        "inf", [float("inf"), -float("inf"), np.float64("inf"), np.float32("-inf")],
+        ids=["python", "python-negative", "numpy", "numpy-float32-negative"])
+    def test_report_infinity_is_null(self, inf):
+        """Python and numpy floats take one rule: an infinity is null, a finite value a float."""
+        obj = matrixio.sanitize({"inf": inf, "finite": type(inf)(0.5)})
+        assert matrixio.dumps(obj) == '{\n  "inf": null,\n  "finite": 0.5\n}\n'
+        assert type(obj["finite"]) is float
+
     def test_complex_matrix_file_is_pinned(self, tmp_path):
         path = write(tmp_path, "m.json", np.array([[2.0, 1 - 0.5j], [1 + 0.5j, 1.0 / 3.0]]))
         with open(path, encoding="utf-8", newline="") as fh:
@@ -331,15 +340,22 @@ class TestVerifyCommand:
         ])
         assert code == 0
 
-    def test_bad_config_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, error", [
+        (json.dumps({"trials": -3}), "error: config field trials must be an integer >= 0"),
+        (None, "error: cannot read config"),
+        ("{not json", "error: config is not valid JSON"),
+    ], ids=["negative-trials", "missing-file", "invalid-json"])
+    def test_bad_config_exits_2(self, tmp_path, capsys, text, error):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"trials": -3}))
+        if text is not None:
+            cfg_path.write_text(text)
         code = cli.main([
             "verify", "--config", str(cfg_path),
             "--out-csv", str(tmp_path / "x.csv"),
             "--out-json", str(tmp_path / "x.json"),
         ])
         assert code == 2
+        assert capsys.readouterr().err.startswith(error)
         # 2^-1075 underflows to 0.0: no grid point, so no run
         code, csv_path, json_path = self.run_verify(
             tmp_path, "p", extra=("--p-min-exp", "1075", "--trials", "1", "--limit-trials", "1"))

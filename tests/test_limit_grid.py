@@ -4,7 +4,6 @@ member from a fresh decomposition of pX, and the number of LAPACK calls
 of a group no longer grows with the grid."""
 
 import collections
-import math
 import re
 import warnings
 
@@ -36,18 +35,9 @@ from spdmeans.suite import (
     limit_target,
 )
 
+from helpers import bitwise_equal, same_float
+
 T_GRID = SuiteConfig().t_grid
-
-
-def bitwise_equal(x, y) -> bool:
-    x, y = np.asarray(x), np.asarray(y)
-    return (x.shape == y.shape and np.array_equal(x, y, equal_nan=True)
-            and np.array_equal(np.signbit(x.real), np.signbit(y.real)))
-
-
-def same_float(x: float, y: float) -> bool:
-    return (math.isnan(x) and math.isnan(y)) or (
-        x == y and math.copysign(1.0, x) == math.copysign(1.0, y))
 
 
 def hermitian_pairs(n: int, k: int, seed: int = 0):

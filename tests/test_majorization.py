@@ -51,9 +51,12 @@ class TestMajorizes:
     def test_unequal_totals_fail(self):
         assert not majorizes((3.0, 1.0), (2.0, 1.0)).verdict
 
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            majorizes((1.0, 2.0), (1.0,))
+    @pytest.mark.parametrize("y, x, message", [((1.0, 2.0), (1.0,), "length mismatch"),
+                                               ((), (), "y is empty")],
+                             ids=["unequal", "empty"])
+    def test_length_mismatch(self, y, x, message):
+        with pytest.raises(LengthMismatch, match=message):
+            majorizes(y, x)
 
 
 class TestWeakMajorizes:

@@ -20,9 +20,7 @@ from spdmeans.errors import DimensionMismatch, NonPositiveSpectrum
 from spdmeans.linalg import mat_sqrt_pair
 from spdmeans.suite import NATLOG_COUNTEREXAMPLE
 
-
-def rel_dev(X, Y):
-    return np.max(np.abs(X - Y)) / max(np.max(np.abs(X)), np.max(np.abs(Y)))
+from helpers import rel_dev
 
 
 def random_real_spd(rng, n, spread):

@@ -15,9 +15,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PHASES = ["draw", "stack", "evaluate", "oracle", "fixed", "total"]
 # the seed-1 counts that README and ROADMAP quote, largest first
 LAPACK_COUNTS = {
-    "default": ["total 1123", "eigh 421", "svd 411", "qr 130", "eigvalsh 129", "det 21",
+    "default": ["total 1115", "eigh 413", "svd 411", "qr 130", "eigvalsh 129", "det 21",
                 "solve 6", "eigvals 5"],
-    "large-n": ["total 3294", "svd 1440", "eigh 1168", "qr 416", "eigvalsh 236", "solve 20",
+    "large-n": ["total 3292", "svd 1440", "eigh 1166", "qr 416", "eigvalsh 236", "solve 20",
                 "eigvals 14", "det 0"],
     # one call of each public function on a seeded 4 x 4 pair
     "means": ["metric_mean eigh 2 svd 1", "spectral_mean eigh 2 svd 2", "g_factor eigh 2 svd 2",

@@ -580,15 +580,23 @@ class TestRunSuite:
         assert isinstance(out.detail, dict)
 
 
-@pytest.mark.parametrize("idx", [i for i, c in enumerate(_REGISTRY) if c.draw],
-                         ids=[c.check_id for c in _REGISTRY if c.draw])
-def test_witness_replays_its_row(idx):
+REPLAY_CFG = SuiteConfig(seed=1, trials=40, limit_trials=8, p_min_exp=6)
+# natlog rows drawn beyond the provable bound replay only with the config's force
+FORCED_CFG = SuiteConfig(seed=3, trials=40, limit_trials=1, s_grid=(0.5, 2.5),
+                         force_out_of_range=True)
+NATLOG = next(i for i, c in enumerate(_REGISTRY) if c.check_id == "natlog_order")
+
+
+@pytest.mark.parametrize("idx, cfg", [
+    *(pytest.param(i, REPLAY_CFG, id=c.check_id) for i, c in enumerate(_REGISTRY) if c.draw),
+    pytest.param(NATLOG, FORCED_CFG, id="natlog_order-forced"),
+])
+def test_witness_replays_its_row(idx, cfg):
     """Every row is marked failing, so every row gets a witness; the
     witness holds the leading arguments of the registry's public check, in
     order, and with the registry's options replays the row's worst margin
     bitwise.  Trial 16 of means_identities has its homogeneity identity,
     which depends on alpha and beta, as its worst margin."""
-    cfg = SuiteConfig(seed=1, trials=40, limit_trials=8, p_min_exp=6)
     check = _REGISTRY[idx]
 
     def failing(**inputs):
