@@ -46,7 +46,7 @@ from spdmeans import (g_factor, mat_power, metric_mean, sample_pd, similarity_wi
                       spectral_mean)
 from spdmeans import suite  # noqa: E402
 
-ENTRY_POINTS = ("eigh", "svd", "eigvalsh", "qr", "det", "solve", "eigvals")
+ENTRY_POINTS = ("eigh", "svd", "eigvalsh", "qr", "det", "solve", "eigvals", "cholesky")
 PHASES = ("draw", "stack", "evaluate", "oracle", "fixed")
 LARGE_N = {"dims": (40, 64), "trials": 20, "limit_trials": 5}
 MEANS = (metric_mean, spectral_mean, g_factor, similarity_witness)

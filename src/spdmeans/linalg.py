@@ -219,13 +219,19 @@ def _below_floor(w: np.ndarray):
     return ((top := w[..., 0][()]) <= 0.0) | (w[..., -1][()] <= EPS_PD * top)
 
 
-def _pd_eigh(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, U = _eigh(P)
+def _above_floor(w: np.ndarray) -> np.ndarray:
+    """Descending spectra ``w``, or NonPositiveSpectrum naming the first one at or below the
+    positive-definite floor."""
     if any_true(bad := _below_floor(w)):
         lam = w[np.unravel_index(np.argmax(bad), bad.shape)]   # the first spectrum below it
         raise NonPositiveSpectrum(f"eigenvalue {lam[-1]:.3e} at or below relative floor "
                                   f"{EPS_PD:.0e} * {lam[0]:.3e}")
-    return w, U
+    return w
+
+
+def _pd_eigh(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    w, U = _eigh(P)
+    return _above_floor(w), U
 
 
 def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:

@@ -16,11 +16,14 @@ from spdmeans import (
     spectral_mean_factor,
     spectrum_of_factor,
 )
-from spdmeans.errors import DimensionMismatch, NonPositiveSpectrum
-from spdmeans.linalg import mat_sqrt_pair
+from spdmeans import means
+from spdmeans.errors import DimensionMismatch, NonPositiveSpectrum, NumericBreakdown
+from spdmeans.linalg import EPS_PD, mat_sqrt_pair
 from spdmeans.suite import NATLOG_COUNTEREXAMPLE
 
 from helpers import rel_dev
+
+U = np.finfo(float).eps / 2   # unit roundoff of doubles
 
 
 def random_real_spd(rng, n, spread):
@@ -44,6 +47,21 @@ def mp_metric_mean(A, B, t):
     Aih = _mp_power(A, -mp.mpf(1) / 2)
     W = Aih * B * Aih
     M = Ah * _mp_power((W + W.T) / 2, mp.mpf(t)) * Ah
+    return _floats(M)
+
+
+def mp_spectral_mean(A, B, t):
+    A = mp.matrix(A.tolist())
+    B = mp.matrix(B.tolist())
+    Ah = _mp_power(A, mp.mpf(1) / 2)
+    Aih = _mp_power(A, -mp.mpf(1) / 2)
+    S = Ah * B * Ah
+    C = Aih * _mp_power((S + S.T) / 2, mp.mpf(1) / 2) * Aih   # A^{-1} # B
+    Ct = _mp_power((C + C.T) / 2, mp.mpf(t))
+    return _floats(Ct * A * Ct)
+
+
+def _floats(M):
     return np.array([[float(M[i, j]) for j in range(M.cols)] for i in range(M.rows)])
 
 
@@ -210,6 +228,59 @@ class TestSimilarityWitness:
         np.testing.assert_allclose(spec_target, spec_sharp, rtol=1e-9)
 
 
+@pytest.mark.parametrize("kappa", [1e4, 1e8, 9.5e11])
+def test_both_means_match_the_oracle_as_b_nears_the_floor(kappa):
+    """B enters the means by its Cholesky factor.  Against 60 digits, each
+    mean stays within the first-order bound u * kappa(B) of B's rounding
+    (the factor's error, like B's, grows with its condition number)."""
+    mp.mp.dps = 60
+    rng = np.random.default_rng(int(np.log10(kappa)))
+    for _ in range(8):
+        A = random_real_spd(rng, 4, 10.0)
+        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        B = hermitize((Q * np.geomspace(1.0, 1.0 / kappa, 4)) @ Q.T)
+        for t in (0.3, 0.7):
+            assert rel_dev(metric_mean(A, B, t), mp_metric_mean(A, B, t)) <= U * kappa
+            assert rel_dev(spectral_mean(A, B, t), mp_spectral_mean(A, B, t)) <= U * kappa
+
+
+def _near_floor(n: int, ratio: float) -> np.ndarray:
+    """A complex n x n positive definite matrix with lambda_min / lambda_max = ratio."""
+    rng = np.random.default_rng(n)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return hermitize((Q * np.geomspace(1.0, ratio, n)) @ Q.conj().T)
+
+
+PUBLIC = [metric_mean, spectral_mean, metric_mean_factor, spectral_mean_factor, g_factor,
+          similarity_witness]
+
+
+@pytest.mark.parametrize("n", [6, means._WORKER_ORDER], ids=["below-gate", "above-gate"])
+@pytest.mark.parametrize("fn", PUBLIC, ids=lambda fn: fn.__name__)
+def test_b_on_either_side_of_the_floor(fn, n):
+    """Twice the relative floor EPS_PD passes, on either route for B and
+    either side of the worker order; half of it is refused by name."""
+    A = sample_pd(n, 3, 10.0)
+    result = fn(A, _near_floor(n, 2 * EPS_PD), 0.3)
+    arrays = vars(result).values() if fn is similarity_witness else [result]
+    assert all(np.isfinite(X).all() for X in arrays)
+    with pytest.raises(NonPositiveSpectrum, match="at or below relative floor 1e-12"):
+        fn(A, _near_floor(n, EPS_PD / 2), 0.3)
+
+
+@pytest.mark.parametrize("n", [6, means._WORKER_ORDER], ids=["below-gate", "above-gate"])
+@pytest.mark.parametrize("fn", PUBLIC[:-1], ids=lambda fn: fn.__name__)
+def test_a_failed_cholesky_is_a_numeric_breakdown(fn, n, monkeypatch):
+    """Not seen above the floor; if LAPACK's Cholesky ever fails there, no
+    raw LinAlgError escapes a public mean, from either thread."""
+    def fails(H):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fails)
+    with pytest.raises(NumericBreakdown, match="operand B has no Cholesky factor"):
+        fn(sample_pd(n, 1, 10.0), sample_pd(n, 2, 10.0), 0.3)
+
+
 def rank_deficient(n: int, k: int, seed: int) -> np.ndarray:
     """The Gram matrix F F* of a complex n x k factor, k < n."""
     rng = np.random.default_rng(seed)
@@ -263,8 +334,9 @@ def _roots(P):
 
 def _formulas(A, B, t):
     """metric_mean, spectral_mean, g_factor and mat_sqrt_pair(A) as the
-    package evaluates them, through Gram factors."""
-    (ra, ia), (rb, _) = _roots(A), _roots(B)
+    package evaluates them, through Gram factors: A's Hermitian roots and
+    B's Cholesky factor."""
+    (ra, ia), rb = _roots(A), np.linalg.cholesky(_h(B))
     Uk, s, _ = np.linalg.svd(ia @ rb)
     metric = (ra @ Uk) * s ** t
     Us, s, _ = np.linalg.svd(ra @ rb)                  # A^{-1} # B = G G*

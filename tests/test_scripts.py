@@ -16,11 +16,14 @@ PHASES = ["draw", "stack", "evaluate", "oracle", "fixed", "total"]
 # the seed-1 counts that README and ROADMAP quote, largest first
 LAPACK_COUNTS = {
     "default": ["total 1115", "eigh 413", "svd 411", "qr 130", "eigvalsh 129", "det 21",
-                "solve 6", "eigvals 5"],
+                "solve 6", "eigvals 5", "cholesky 0"],
     "large-n": ["total 3292", "svd 1440", "eigh 1166", "qr 416", "eigvalsh 236", "solve 20",
-                "eigvals 14", "det 0"],
-    # one call of each public function on a seeded 4 x 4 pair
-    "means": ["metric_mean eigh 2 svd 1", "spectral_mean eigh 2 svd 2", "g_factor eigh 2 svd 2",
+                "eigvals 14", "det 0", "cholesky 0"],
+    # one call of each public function on a seeded 4 x 4 pair: B's floor test and
+    # Cholesky factor in the means, B's eigensystem in the witness
+    "means": ["metric_mean eigh 1 svd 1 eigvalsh 1 cholesky 1",
+              "spectral_mean eigh 1 svd 2 eigvalsh 1 cholesky 1",
+              "g_factor eigh 1 svd 2 eigvalsh 1 cholesky 1",
               "similarity_witness eigh 4 svd 5", "mat_power eigh 1"],
 }
 # the modules each import loads: the suite and majorization wait for first use
