@@ -205,11 +205,16 @@ def row_power(w: np.ndarray, e) -> np.ndarray:
     return out
 
 
-def _eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lapack(fn, X: np.ndarray, error=EigFailure, prefix: str = ""):
+    """``fn(X)``, with a LAPACK failure raised as ``error`` carrying LAPACK's message."""
     try:
-        w, U = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigFailure(str(exc)) from exc
+        return fn(X)
+    except np.linalg.LinAlgError as exc:
+        raise error(prefix + str(exc)) from exc
+
+
+def _eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    w, U = _lapack(np.linalg.eigh, H)
     return w[..., ::-1].copy(), U[..., ::-1].copy()
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BadOrder, DimensionMismatch, EigFailure, LengthMismatch, NegativeEntry,
-                     NonrealSpectrum, NumericBreakdown)
-from .linalg import (ETA_HERM, _compound, _dtype_defect, _eigh, _hermitian_mask, pymax,
+from .errors import (BadOrder, DimensionMismatch, LengthMismatch, NegativeEntry, NonrealSpectrum,
+                     NumericBreakdown)
+from .linalg import (ETA_HERM, _compound, _dtype_defect, _eigh, _hermitian_mask, _lapack, pymax,
                      require_finite, require_integer, require_matrix, require_real,
                      require_same_shape, unbatch)
 
@@ -115,10 +115,7 @@ def _nonneg_spectrum(X: np.ndarray) -> np.ndarray:
     if np.any(herm):           # Hermitian within ETA_HERM: their Hermitian parts go to eigh
         out[herm] = _eigh(H[herm])[0]
     if not np.all(herm):
-        try:
-            w = np.linalg.eigvals(flat[~herm])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-            raise EigFailure(str(exc)) from exc
+        w = _lapack(np.linalg.eigvals, flat[~herm])
         scale = 1.0 + np.max(np.abs(w.real), axis=-1)
         if np.any(np.max(np.abs(w.imag), axis=-1) > ETA_IMAG * scale):
             raise NonrealSpectrum("eigenvalues have non-negligible imaginary parts")

@@ -16,24 +16,26 @@ which is what keeps endpoint identities and determinant identities tight in
 double precision even for badly conditioned inputs.
 
 A and B may be stacks of shape ``(..., n, n)``; the means are then taken
-pair by pair.  The underscore functions take operands decomposed once by
-``linalg.spd`` and a weight per pair, so callers that combine one pair in
-several ways decompose each operand only once.
+pair by pair.  The underscore kernels take A decomposed once by
+``linalg.spd``, B by any Gram factor L (L L* = B), and a weight per pair,
+so callers that combine one pair in several ways decompose each operand
+only once.  The means depend on B only through B = L L*: K = A^{-1/2} L
+and S = A^{1/2} L carry A^{-1/2} B A^{-1/2} and A^{1/2} B A^{1/2}.  The
+battery passes B's Hermitian root ``spd(B).root``.
 
-The public functions decompose A into its eigensystem: ``_inv_sharp``
-needs A's Hermitian square root and its inverse.  The kernels read their
-second operand only through a Gram factor (K = A^{-1/2} L and S = A^{1/2} L
-with L L* = B), so the two means, their factors and ``g_factor`` take B by
-its Cholesky factor L, once ``eigvalsh`` has passed B's spectrum through
-the same positive-definite floor.  With BLAS on one thread that costs about
-260 + 50 us in place of 750 us for the eigensystem and square root at
-n = 64, and 7 + 4 us in place of 20 us at n = 6.  ``similarity_witness``
-keeps B's eigensystem, since it also takes B as the first operand of
-B nat A.  So the public means agree with their kernels on ``spd`` operands,
-as the battery calls them, to roundoff, not bitwise.  From matrix order
-``_WORKER_ORDER`` on, the public functions decompose B on one worker
-thread while the calling thread decomposes A; the results are the same
-bits either way.
+The public means, their factors and ``g_factor`` decompose A into its
+eigensystem (``_inv_sharp`` needs A's Hermitian square root and its
+inverse) and take B by its Cholesky factor, once ``eigvalsh`` has passed
+B's spectrum through the same positive-definite floor.  With BLAS on one
+thread that costs about 260 + 50 us in place of 750 us for the
+eigensystem and square root at n = 64, and 7 + 4 us in place of 20 us at
+n = 6.  So they agree with their kernels on ``spd`` operands, as the
+battery calls them, to roundoff, not bitwise.  From matrix order
+``_WORKER_ORDER`` on, they take B's Cholesky factor on one worker thread
+while the calling thread decomposes A; the results are the same bits
+either way.  ``similarity_witness`` also takes B as the first operand of
+B nat A, so it decomposes both operands into eigensystems in the calling
+thread.
 """
 
 from __future__ import annotations
@@ -42,54 +44,35 @@ import contextvars
 import os
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EigFailure, NumericBreakdown
-from .linalg import (Spd, _above_floor, _hermitize, ct, from_eig, require_hermitian, require_real,
-                     require_same_shape, row_power, spd)
+from .errors import NumericBreakdown
+from .linalg import (Spd, _above_floor, _hermitize, _lapack, ct, from_eig, require_hermitian,
+                     require_real, require_same_shape, row_power, spd)
 
 _SINGULAR_FLOOR = 1e4 * np.finfo(float).eps
-# Smallest matrix order at which the public functions decompose B on a worker
-# thread while the calling thread decomposes A: below it, handing B over
+# Smallest matrix order at which the public means take B's Cholesky factor on a
+# worker thread while the calling thread decomposes A: below it, handing B over
 # costs more than the overlap saves (measured; see README, "Library").
 _WORKER_ORDER = 64
 
 _worker_lock = threading.Lock()
-_worker_jobs = None     # the worker's queue of (context, decompose, B, reply queue), once it runs
+_worker_jobs = None     # the worker's queue of (context, B, reply queue), once it runs
 
 
-class _Factor(NamedTuple):
-    """An operand carried by a Gram factor alone, P = root root*: all that the
-    kernels read of their second operand."""
-    root: np.ndarray
-
-
-def _cholesky(B) -> _Factor:
-    """B by its Cholesky factor, once its spectrum passes the positive-definite floor."""
+def _cholesky(B) -> np.ndarray:
+    """B's Cholesky factor, once its spectrum passes the positive-definite floor."""
     H = require_hermitian(B)
-    try:
-        _above_floor(np.linalg.eigvalsh(H)[..., ::-1])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare, as in linalg._eigh
-        raise EigFailure(str(exc)) from exc
-    try:
-        return _Factor(np.linalg.cholesky(H))
-    except np.linalg.LinAlgError as exc:
-        raise NumericBreakdown(f"operand B has no Cholesky factor: {exc}") from exc
-
-
-def _eigensystem(B) -> Spd:
-    b = spd(require_hermitian(B))
-    b.root                             # read by the witness; built on the worker if one runs
-    return b
+    _above_floor(_lapack(np.linalg.eigvalsh, H)[..., ::-1])
+    return _lapack(np.linalg.cholesky, H, NumericBreakdown, "operand B has no Cholesky factor: ")
 
 
 def _serve(jobs) -> None:
     while True:
-        context, decompose, B, reply = jobs.get()
+        context, B, reply = jobs.get()
         try:
-            reply.put(context.run(decompose, B))
+            reply.put(context.run(_cholesky, B))
         except BaseException as exc:   # raised again by the waiting caller
             reply.put(exc)
 
@@ -104,14 +87,15 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _operands(A, B, t, decompose=_cholesky) -> tuple[Spd, Spd | _Factor, float]:
-    """The public means' inputs: A, then B, decomposed, then the weight.
-    Errors come in that order too, whichever thread decomposes B, and B is
-    decomposed in the caller's context (its ``np.errstate``) either way."""
+def _operands(A, B, t) -> tuple[Spd, np.ndarray, float]:
+    """The public means' inputs: A's eigensystem, then B's Cholesky factor,
+    then the weight.  Errors come in that order too, whichever thread
+    factors B, and B is factored in the caller's context (its
+    ``np.errstate``) either way."""
     global _worker_jobs
     A, B = require_same_shape(A, B)
     if A.ndim < 2 or A.shape[-1] < _WORKER_ORDER:
-        return spd(require_hermitian(A)), decompose(B), require_real(t, "weight t", 0.0, 1.0)
+        return spd(require_hermitian(A)), _cholesky(B), require_real(t, "weight t", 0.0, 1.0)
     import queue                       # on first use: `import spdmeans` does not load it
     reply = queue.SimpleQueue()
     with _worker_lock:
@@ -120,14 +104,14 @@ def _operands(A, B, t, decompose=_cholesky) -> tuple[Spd, Spd | _Factor, float]:
             threading.Thread(target=_serve, args=(jobs,), name="spdmeans-operand",
                              daemon=True).start()
             _worker_jobs = jobs        # only once a thread serves it
-        _worker_jobs.put((contextvars.copy_context(), decompose, B, reply))
+        _worker_jobs.put((contextvars.copy_context(), B, reply))
     try:
         a = spd(require_hermitian(A))
     finally:
-        b = reply.get()                # even if A fails: the worker is done with B on return
-    if isinstance(b, BaseException):
-        raise b
-    return a, b, require_real(t, "weight t", 0.0, 1.0)
+        L = reply.get()                # even if A fails: the worker is done with B on return
+    if isinstance(L, BaseException):
+        raise L
+    return a, L, require_real(t, "weight t", 0.0, 1.0)
 
 
 def gram(F: np.ndarray) -> np.ndarray:
@@ -135,8 +119,9 @@ def gram(F: np.ndarray) -> np.ndarray:
     return _hermitize(F @ ct(F))
 
 
-def _metric_factor(a: Spd, b: Spd, t) -> np.ndarray:
-    K = a.inv_root @ b.root            # K K* = A^{-1/2} B A^{-1/2}
+def _metric_factor(a: Spd, L: np.ndarray, t) -> np.ndarray:
+    """Gram factor of the metric mean of A and B = L L*."""
+    K = a.inv_root @ L                 # K K* = A^{-1/2} B A^{-1/2}
     Uk, s, _ = np.linalg.svd(K)
     return (a.root @ Uk) * row_power(s, t)[..., None, :]
 
@@ -151,14 +136,14 @@ def metric_mean(A, B, t: float) -> np.ndarray:
     return gram(metric_mean_factor(A, B, t))
 
 
-def _inv_sharp(a: Spd, b: Spd) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem (w, U) of C = A^{-1} # B.
+def _inv_sharp(a: Spd, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem (w, U) of C = A^{-1} # B, for B = L L*.
 
     C is evaluated as A^{-1/2} (A^{1/2} B A^{1/2})^{1/2} A^{-1/2}, which is
     metric_mean(A^{-1}, B, 1/2) written directly in terms of the factors of
     A so the inverse is never formed.
     """
-    S = a.root @ b.root                # S S* = A^{1/2} B A^{1/2}
+    S = a.root @ L                     # S S* = A^{1/2} B A^{1/2}
     Us, s, _ = np.linalg.svd(S)
     G = (a.inv_root @ Us) * np.sqrt(s)[..., None, :]   # C = G G*
     Ug, g, _ = np.linalg.svd(G)
@@ -171,9 +156,9 @@ def _spectral_factor(C: tuple[np.ndarray, np.ndarray], a: Spd, t) -> np.ndarray:
     return ((U * row_power(w, t)[..., None, :]) @ ct(U)) @ a.root
 
 
-def _nat_factor(a: Spd, b: Spd, t) -> np.ndarray:
-    """Gram factor of the spectral mean of decomposed operands."""
-    return _spectral_factor(_inv_sharp(a, b), a, t)
+def _nat_factor(a: Spd, L: np.ndarray, t) -> np.ndarray:
+    """Gram factor of the spectral mean of A and B = L L*."""
+    return _spectral_factor(_inv_sharp(a, L), a, t)
 
 
 def g_factor(A, B, t: float) -> np.ndarray:
@@ -181,8 +166,8 @@ def g_factor(A, B, t: float) -> np.ndarray:
 
     Satisfies spectral_mean(A, B, t) = G_t A G_t.
     """
-    a, b, t = _operands(A, B, t)
-    w, U = _inv_sharp(a, b)
+    a, L, t = _operands(A, B, t)
+    w, U = _inv_sharp(a, L)
     return from_eig(U, row_power(w, t))
 
 
@@ -220,10 +205,10 @@ class SimilarityWitness:
 
 
 def _similarity_witness(a: Spd, b: Spd, t) -> SimilarityWitness:
-    C = _inv_sharp(a, b)
+    C = _inv_sharp(a, b.root)
     Gt = from_eig(C[1], row_power(C[0], t))
     nat_ab = spd(gram(_spectral_factor(C, a, t)))
-    nat_ba = spd(gram(_nat_factor(b, a, t)))   # = A nat_{1-t} B
+    nat_ba = spd(gram(_nat_factor(b, a.root, t)))   # = A nat_{1-t} B
 
     V = nat_ab.inv_root @ Gt
     W = Gt @ nat_ba.root
@@ -245,4 +230,6 @@ def similarity_witness(A, B, t: float) -> SimilarityWitness:
     U equals the adjoint of the unitary polar factor of R and is computed
     that way (via the SVD of R) for stability.
     """
-    return _similarity_witness(*_operands(A, B, t, _eigensystem))
+    A, B = require_same_shape(A, B)
+    a, b = spd(require_hermitian(A)), spd(require_hermitian(B))
+    return _similarity_witness(a, b, require_real(t, "weight t", 0.0, 1.0))

@@ -325,8 +325,8 @@ def _power_order(mean, A, B, t, r, tol, tally):
     reverse = mean == "spectral"
     factor = _nat_factor if reverse else _metric_factor
     a, b = spd(A), spd(B)
-    F_base = factor(a, b, t)
-    F_pow = factor(spd(power_from_eig(a.w, a.U, r)), spd(power_from_eig(b.w, b.U, r)), t)
+    F_base = factor(a, b.root, t)
+    F_pow = factor(spd(power_from_eig(a.w, a.U, r)), spd(power_from_eig(b.w, b.U, r)).root, t)
     log_base = np.log(_spectrum_of_factor(F_base))
     log_pow = np.log(_spectrum_of_factor(F_pow))
 
@@ -382,7 +382,7 @@ def _natlog_factors(a, b, t, s) -> tuple[np.ndarray, np.ndarray]:
     """Gram factors of the sandwich B^{ts/2} A^{(1-t)s} B^{ts/2} and of the
     spectral mean, from the operands decomposed by ``spd``."""
     F_mid = power_from_eig(b.w, b.U, t * s / 2.0) @ power_from_eig(a.w, a.U, (1.0 - t) * s / 2.0)
-    return F_mid, _nat_factor(a, b, t)
+    return F_mid, _nat_factor(a, b.root, t)
 
 
 def _natlog(A, B, t, s, tol, force, tally, factors=None):
@@ -421,7 +421,7 @@ def _chain(A, B, t, tol, tally):
     H = (1.0 - tc) * from_eig(a.U, np.log(a.w)) + tc * from_eig(b.U, np.log(b.w))
     log_le, U_le = _eigh(H)              # log lambda(e^H) = lambda(H)
     F_mid, F_nat = _natlog_factors(a, b, t, np.ones_like(t))   # the natlog pair at s = 1
-    F = {"metric": _metric_factor(a, b, t), "sandwich": F_mid, "spectral": F_nat}
+    F = {"metric": _metric_factor(a, b.root, t), "sandwich": F_mid, "spectral": F_nat}
     logs = {k: np.log(_spectrum_of_factor(f)) for k, f in F.items()}
     logs["logeuclid"] = log_le
 
@@ -499,7 +499,7 @@ def limit_factors(family: str, A, B, t, p_grid) -> Iterator[tuple[np.ndarray, np
         (wa, Ua), (wb, Ub) = _eigh(ea), _eigh(eb)
         _breakdown(_below_floor(wa) | _below_floor(wb), p,
                    "exp(pA) or exp(pB) leaves the positive-definite floor")
-        yield p, _nat_factor(Spd(wa, Ua), Spd(wb, Ub), np.broadcast_to(t, (len(p), k)))
+        yield p, _nat_factor(Spd(wa, Ua), Spd(wb, Ub).root, np.broadcast_to(t, (len(p), k)))
 
 
 def _breakdown(bad, p, what: str, why: str = "the spectra of A and B are too wide for doubles"):
@@ -626,8 +626,8 @@ def _require_loewner(X, Y, psd_tol: float, what: str) -> None:
 
 
 def _loewner_monotone(A, B, C, D, t, psd_tol):
-    top_pair = gram(_metric_factor(spd(A), spd(B), t))
-    bottom_pair = gram(_metric_factor(spd(C), spd(D), t))
+    top_pair = gram(_metric_factor(spd(A), spd(B).root, t))
+    bottom_pair = gram(_metric_factor(spd(C), spd(D).root, t))
     cols = {"t": t, "psd_margin": _psd_margin(top_pair, bottom_pair)}
     return _outcomes("loewner_monotone_metric", psd_tol, cols)
 
@@ -681,7 +681,7 @@ def check_lambda1(A, B, s: float, tol: float = SuiteConfig.tol,
 
 def _means_identities(A, B, t, r, s, alpha, beta, tol):
     a, b = spd(A), spd(B)
-    C_ab, C_ba = _inv_sharp(a, b), _inv_sharp(b, a)
+    C_ab, C_ba = _inv_sharp(a, b.root), _inv_sharp(b, a.root)
 
     def nat(C, x, w):                    # spectral mean from C = X^{-1} # Y
         return gram(_spectral_factor(C, x, w))
@@ -695,16 +695,16 @@ def _means_identities(A, B, t, r, s, alpha, beta, tol):
     Gti = _power(Gt, -1.0)
     cols = {"t": t, "r": r, "s": s}
     cols["inversion"] = _equality(power_from_eig(n_ab.w, n_ab.U, -1.0),
-                                  gram(_nat_factor(inv_a, inv_b, t)))
+                                  gram(_nat_factor(inv_a, inv_b.root, t)))
     cols["reversal"] = _equality(nat_ab, nat(C_ba, b, 1.0 - t))
-    cols["factor_left"] = _equality(gram(_metric_factor(inv_a, n_ab, 0.5)), Gt)
+    cols["factor_left"] = _equality(gram(_metric_factor(inv_a, n_ab.root, 0.5)), Gt)
     inv_n_ba = spd(power_from_eig(n_ba.w, n_ba.U, -1.0))
-    cols["factor_right"] = _equality(gram(_metric_factor(inv_n_ba, b, 0.5)), Gt)
+    cols["factor_right"] = _equality(gram(_metric_factor(inv_n_ba, b.root, 0.5)), Gt)
     cols["conjugation"] = _equality(_hermitize(Gt @ A @ Gt), nat_ab)
     cols["conjugation_reverse"] = _equality(_hermitize(Gti @ B @ Gti), nat_ba)
     mix = (1.0 - t) * r + t * s
     cols["interpolation"] = _equality(
-        gram(_nat_factor(spd(nat(C_ab, a, r)), spd(nat(C_ab, a, s)), t)), nat(C_ab, a, mix))
+        gram(_nat_factor(spd(nat(C_ab, a, r)), spd(nat(C_ab, a, s)).root, t)), nat(C_ab, a, mix))
     cols["endpoint_a"] = _equality(nat(C_ab, a, 0.0), A)
     cols["endpoint_b"] = _equality(nat(C_ab, a, 1.0), B)
 
@@ -713,7 +713,7 @@ def _means_identities(A, B, t, r, s, alpha, beta, tol):
     target = (1.0 - t) * np.sum(np.log(a.w), axis=-1) + t * np.sum(np.log(b.w), axis=-1)
     cols["determinant"] = -np.abs(log_det_nat - target)
 
-    scaled = gram(_nat_factor(spd(alpha[:, None, None] * A), spd(beta[:, None, None] * B), t))
+    scaled = gram(_nat_factor(spd(alpha[:, None, None] * A), spd(beta[:, None, None] * B).root, t))
     # the scalar factor in Python floats, as libm's pow
     coef = [x ** (1.0 - u) * y**u for x, y, u in zip(alpha.tolist(), beta.tolist(), t.tolist())]
     cols["homogeneity"] = _equality(scaled, np.array(coef)[:, None, None] * nat_ab)
@@ -739,7 +739,7 @@ def check_means_identities(A, B, t: float, r: float = 0.25, s: float = 0.75, alp
 def _similarity(A, B, t, tol):
     a, b = spd(A), spd(B)
     wit = _similarity_witness(a, b, t)
-    sharp = gram(_metric_factor(a, b, 0.5))
+    sharp = gram(_metric_factor(a, b.root, 0.5))
 
     S = wit.conjugator
     conjugated = np.linalg.solve(S, sharp) @ S
@@ -798,7 +798,7 @@ def check_spectral_not_monotone(psd_tol: float = SuiteConfig.psd_tol) -> CheckOu
     ce, (psd_tol,) = MONOTONE_COUNTEREXAMPLE, _positive(psd_tol=psd_tol)
     (A, B1, B2), t = _one(ce["A"], ce["B1"], ce["B2"]), ce["t"]
     a = spd(A)
-    N1, N2 = (gram(_nat_factor(a, spd(B), t)) for B in (B1, B2))
+    N1, N2 = (gram(_nat_factor(a, spd(B).root, t)) for B in (B1, B2))
     cols = {"t": [t], "b1_ge_b2": np.linalg.eigvalsh(B1 - B2)[:, 0],
             "psd_margin": _psd_margin(N1, N2)}
     out = _outcomes("counterexample_monotone", psd_tol, cols)[0]

@@ -51,7 +51,7 @@ def hermitian_pairs(n: int, k: int, seed: int = 0):
 
 def spectral_factor(A, B, t, p):
     a, b = spd(_exp(p * A)), spd(_exp(p * B))
-    return _nat_factor(a, b, t)
+    return _nat_factor(a, b.root, t)
 
 
 def sandwich_factor(A, B, t, p):

@@ -26,8 +26,9 @@ from spdmeans import (
     spectral_norm,
     spectrum_of_factor,
 )
-from spdmeans.errors import (BadOrder, NonFiniteInput, NonHermitianInput, NonPositiveSpectrum,
-                             NumericBreakdown, SpdMeansError)
+from spdmeans import means
+from spdmeans.errors import (BadOrder, EigFailure, NonFiniteInput, NonHermitianInput,
+                             NonPositiveSpectrum, NumericBreakdown, SpdMeansError)
 from spdmeans.linalg import (ETA_UNIT, TAU_RECON, mat_sqrt_pair, pd_eig, power_from_eig,
                              require_hermitian, spd)
 from spdmeans.majorization import nonneg_spectrum
@@ -448,3 +449,31 @@ def test_factor_functions_take_non_square_factors_but_no_vector(fn):
     assert np.array_equal(fn(F), s[0] if fn is spectral_norm else s * s)
     with pytest.raises(NonHermitianInput, match="must be a matrix with a row and a column"):
         fn(np.ones(3))
+
+
+GATE = means._WORKER_ORDER
+
+
+@pytest.mark.parametrize("routine, call", [
+    ("eigh", lambda: hermitian_eig(np.eye(3))),
+    ("eigh", lambda: spectral_mean(np.eye(3), 2 * np.eye(3), 0.3)),
+    ("eigvalsh", lambda: metric_mean(np.eye(3), 2 * np.eye(3), 0.3)),
+    ("eigvalsh", lambda: metric_mean(np.eye(GATE), 2 * np.eye(GATE), 0.3)),
+    ("eigvals", lambda: nonneg_spectrum(np.array([[1.0, 1.0], [0.0, 2.0]]))),
+], ids=["eigh-hermitian_eig", "eigh-mean-A", "eigvalsh-mean-B", "eigvalsh-mean-B-worker",
+        "eigvals-nonneg_spectrum"])
+def test_a_lapack_failure_is_an_eig_failure_with_lapacks_message(routine, call, monkeypatch):
+    """No raw LinAlgError escapes a public entry point: each eigenvalue
+    routine's failure becomes EigFailure carrying LAPACK's message, also
+    from the means' worker thread.  (A failed Cholesky is a NumericBreakdown,
+    tests/test_means.py.)"""
+    message = "Eigenvalues did not converge"
+
+    def fails(X):
+        raise np.linalg.LinAlgError(message)
+
+    monkeypatch.setattr(np.linalg, routine, fails)
+    with pytest.raises(EigFailure) as info:
+        call()
+    assert str(info.value) == message
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)

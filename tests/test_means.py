@@ -18,7 +18,7 @@ from spdmeans import (
 )
 from spdmeans import means
 from spdmeans.errors import DimensionMismatch, NonPositiveSpectrum, NumericBreakdown
-from spdmeans.linalg import EPS_PD, mat_sqrt_pair
+from spdmeans.linalg import EPS_PD, mat_sqrt_pair, spd
 from spdmeans.suite import NATLOG_COUNTEREXAMPLE
 
 from helpers import rel_dev
@@ -279,6 +279,35 @@ def test_a_failed_cholesky_is_a_numeric_breakdown(fn, n, monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", fails)
     with pytest.raises(NumericBreakdown, match="operand B has no Cholesky factor"):
         fn(sample_pd(n, 1, 10.0), sample_pd(n, 2, 10.0), 0.3)
+
+
+def _haar(rng, n: int, complex_: bool) -> np.ndarray:
+    """A Haar-distributed unitary (orthogonal if not ``complex_``): QR with R's phases taken out."""
+    Z = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_ else 0.0)
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R)
+    return Q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 64])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_the_kernels_see_b_only_through_its_gram_factor(real, n):
+    """The kernels take B as any L with L L* = B: its Hermitian root (the
+    battery), its Cholesky factor (the public means) and root Q for a Haar
+    unitary Q give the same means and the same spectrum of A^{-1} # B."""
+    A, B = sample_pd(n, 2 * n, 100.0), sample_pd(n, 2 * n + 1, 100.0)
+    if real:
+        A, B = A.real.copy(), B.real.copy()
+    a, root = spd(A), spd(B).root
+    factors = [root, np.linalg.cholesky(B), root @ _haar(np.random.default_rng(n), n, not real)]
+    for t in (0.3, 0.7):
+        results = [(means.gram(means._metric_factor(a, L, t)),
+                    means.gram(means._nat_factor(a, L, t)), means._inv_sharp(a, L)[0])
+                   for L in factors]
+        for metric, spectral, w in results[1:]:
+            assert rel_dev(metric, results[0][0]) <= 1e-12
+            assert rel_dev(spectral, results[0][1]) <= 1e-12
+            assert np.max(np.abs(w - results[0][2]) / results[0][2]) <= 1e-12
 
 
 def rank_deficient(n: int, k: int, seed: int) -> np.ndarray:

@@ -1,8 +1,8 @@
-"""From matrix order ``means._WORKER_ORDER`` on, the public means decompose
-B on one worker thread, by the function's own route for B, while the calling
-thread decomposes A.  The results, the errors and their order are those of
-the serial kernels; the worker starts on the first such call, and a forked
-child does without it."""
+"""From matrix order ``means._WORKER_ORDER`` on, the public means take B's
+Cholesky factor on one worker thread while the calling thread decomposes A;
+``similarity_witness`` decomposes both operands in the calling thread.  The
+results, the errors and their order are those of the serial kernels; the
+worker starts on the first such call, and a forked child does without it."""
 
 import os
 import pickle
@@ -24,8 +24,8 @@ GATE = means._WORKER_ORDER
 WORKER = "spdmeans-operand"
 
 
-def _g(a, b, t):
-    w, U = means._inv_sharp(a, b)
+def _g(a, L, t):
+    w, U = means._inv_sharp(a, L)
     return from_eig(U, row_power(w, t))
 
 
@@ -40,14 +40,14 @@ SERIAL = {
 }
 
 
-def route(fn):
-    """How ``fn`` decomposes B: by its Cholesky factor, except the witness,
+def b_operand(fn, B):
+    """B as ``fn`` takes it: by its Cholesky factor, except the witness,
     which also takes B as the first operand of B nat A."""
-    return means._eigensystem if fn is similarity_witness else means._cholesky
+    return spd(require_hermitian(B)) if fn is similarity_witness else means._cholesky(B)
 
 
 def serial(fn, A, B, t):
-    return SERIAL[fn](spd(require_hermitian(A)), route(fn)(B), t)
+    return SERIAL[fn](spd(require_hermitian(A)), b_operand(fn, B), t)
 
 
 def pair(n: int, seed: int, real: bool = False):
@@ -70,7 +70,8 @@ def test_results_above_the_gate_are_bitwise_the_serial_kernels(fn, real, n):
     A, B = pair(n, 10 * n, real)
     for t in (0.0, 0.3, 1.0):
         assert pickle.dumps(fn(A, B, t)) == pickle.dumps(serial(fn, A, B, t)), t
-    assert worker_runs()
+    if fn is not similarity_witness:   # the witness runs serially at every order
+        assert worker_runs()
 
 
 @pytest.mark.parametrize("fn", SERIAL, ids=lambda fn: fn.__name__)
@@ -92,7 +93,7 @@ def _bad(kind: str, n: int) -> np.ndarray:
 
 def _first_error(fn, A, B, t):
     """The error the serial path of ``fn`` raises: A's, then B's, then t's."""
-    for step in (lambda: spd(require_hermitian(A)), lambda: route(fn)(B),
+    for step in (lambda: spd(require_hermitian(A)), lambda: b_operand(fn, B),
                  lambda: require_real(t, "weight t", 0.0, 1.0)):
         try:
             step()
@@ -229,3 +230,28 @@ def test_the_worker_starts_on_the_first_call_above_the_gate(subprocess_env):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["(1, False)", "(1, False)", "(2, True)", "True", "[]"]
 
+
+WITNESS_AT_THE_GATE = """
+import sys, threading
+import numpy as np
+from spdmeans import means, metric_mean, similarity_witness
+
+def state():
+    return sorted(th.name for th in threading.enumerate()), "queue" in sys.modules
+
+n = means._WORKER_ORDER
+similarity_witness(np.eye(n), 2 * np.eye(n), 0.5)
+print(state())
+metric_mean(np.eye(n), 2 * np.eye(n), 0.5)
+print(state())
+"""
+
+
+def test_the_witness_at_the_gate_starts_no_worker(subprocess_env):
+    """``similarity_witness`` decomposes both operands in the calling thread
+    at every order; a mean at the same order then starts the worker."""
+    proc = subprocess.run([sys.executable, "-c", WITNESS_AT_THE_GATE], env=subprocess_env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["(['MainThread'], False)",
+                                        f"(['MainThread', '{WORKER}'], True)"]
